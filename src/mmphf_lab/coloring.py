@@ -4,7 +4,11 @@ The fractional chromatic number is the optimum of the covering LP over
 independent sets; it is solved here in exact rational arithmetic with the
 maximal independent sets as columns, so the primal weighting, the dual
 vertex prices and the optimal value agree as Fraction equalities (strong
-duality, no floating point anywhere).
+duality, no floating point anywhere).  `fractional_chromatic_number`
+checks every report it returns once, in `_verify_report`: independent,
+covering primal sets, a dual feasible on every maximal set, equal values,
+and chi_f <= chi with a proper coloring.  The LP solver checks nothing of
+its own result.
 
 The integral chromatic number comes from iterative deepening on the color
 count; each k-colorability test peels vertices of degree < k (always
@@ -24,7 +28,7 @@ from typing import Iterable, Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import EnumerationCapExceeded
-from .graphs import Graph, bron_kerbosch_maximal_sets, product_maximal_sets_bits
+from .graphs import Graph, bit_indices, bron_kerbosch_maximal_sets, product_maximal_sets_bits
 from .lp import solve_covering_lp
 from .serialize import frac_str
 
@@ -130,18 +134,20 @@ def greedy_coloring(graph: Graph) -> list:
     """First-fit coloring in canonical order; an upper bound witness."""
     colors = [-1] * graph.n
     for v in range(graph.n):
-        used = 0
-        m = graph.adj_bits[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[w] >= 0:
-                used |= 1 << colors[w]
-        c = 0
-        while used >> c & 1:
-            c += 1
-        colors[v] = c
+        colors[v] = _first_free_color(graph, v, colors)
     return colors
+
+
+def _first_free_color(graph: Graph, v: int, colors: list) -> int:
+    """Smallest color id that no colored neighbour of v uses."""
+    used = 0
+    for w in bit_indices(graph.adj_bits[v]):
+        if colors[w] >= 0:
+            used |= 1 << colors[w]
+    c = 0
+    while used >> c & 1:
+        c += 1
+    return c
 
 
 def k_colorable(graph: Graph, k: int) -> Optional[list]:
@@ -165,17 +171,8 @@ def k_colorable(graph: Graph, k: int) -> Optional[list]:
     if core and not _color_core(graph, core, k, colors):
         return None
     for v in reversed(peel_order):
-        used = 0
-        m = graph.adj_bits[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[w] >= 0:
-                used |= 1 << colors[w]
-        c = 0
-        while used >> c & 1:
-            c += 1
-        colors[v] = c  # degree < k at peel time guarantees c < k
+        # degree < k at peel time guarantees a color below k
+        colors[v] = _first_free_color(graph, v, colors)
     return colors
 
 
@@ -283,39 +280,34 @@ def fractional_chromatic_number(
     mis = maximal_sets_bits(graph, caps)
     sol = solve_covering_lp(graph.n, mis)
     primal = FractionalColoring(
-        sets=[frozenset(_bit_indices(mask)) for mask, _ in sol.primal],
+        sets=[frozenset(bit_indices(mask)) for mask, _ in sol.primal],
         weights=[w for _, w in sol.primal],
     )
     dual = DualWitness(weights={v: y for v, y in enumerate(sol.dual) if y != ZERO})
     report = ChiReport(chi_f=sol.value, primal=primal, dual=dual)
     if include_chi:
-        chi, witness = chromatic_number(graph, caps)
-        report.chi = chi
-        report.coloring = witness
-        if not (report.chi_f <= chi):
-            raise RuntimeError("chi_f exceeded chi; solver bug")
+        report.chi, report.coloring = chromatic_number(graph, caps)
     _verify_report(graph, mis, report)
     return report
 
 
-def _bit_indices(mask: int) -> list:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _verify_report(graph: Graph, mis: list, report: ChiReport) -> None:
+    """The one exact check of a chi_f report; any failure is a solver bug."""
     if not verify_primal(graph.n, report.primal):
         raise RuntimeError("primal certificate infeasible; solver bug")
+    for s in report.primal.sets:
+        mask = sum(1 << v for v in s)
+        if any(graph.adj_bits[v] & mask for v in s):
+            raise RuntimeError("primal set not independent; solver bug")
     if not verify_dual(mis, report.dual):
         raise RuntimeError("dual certificate infeasible; solver bug")
     if report.primal.value != report.chi_f or report.dual.value != report.chi_f:
         raise RuntimeError("certificate values disagree; solver bug")
-    if report.coloring is not None and not is_proper_coloring(graph, report.coloring):
-        raise RuntimeError("coloring witness improper; solver bug")
+    if report.chi is not None:
+        if report.chi_f > report.chi:
+            raise RuntimeError("chi_f exceeded chi; solver bug")
+        if not is_proper_coloring(graph, report.coloring):
+            raise RuntimeError("coloring witness improper; solver bug")
 
 
 def verify_primal(num_vertices: int, primal: FractionalColoring) -> bool:
@@ -339,7 +331,7 @@ def verify_dual(maximal_sets: list, dual: DualWitness) -> bool:
     if any(w < 0 for w in dual.weights.values()):
         return False
     for mask in maximal_sets:
-        s = sum((dual.weights.get(v, ZERO) for v in _bit_indices(mask)), ZERO)
+        s = sum((dual.weights.get(v, ZERO) for v in bit_indices(mask)), ZERO)
         if s > ONE:
             return False
     return True
@@ -360,7 +352,7 @@ def evaluate_dual_witness(
         raise ValueError("distribution has negative mass")
     best = ZERO
     for mask in maximal_sets_bits(graph, caps):
-        mass = sum((mu.get(v, ZERO) for v in _bit_indices(mask)), ZERO)
+        mass = sum((mu.get(v, ZERO) for v in bit_indices(mask)), ZERO)
         best = max(best, mass)
     if best == ZERO:
         raise RuntimeError("no maximal set carries mass; impossible for mu summing to 1")

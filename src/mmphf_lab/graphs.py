@@ -305,7 +305,7 @@ def maximal_independent_sets(
         return out
     graph = spec if isinstance(spec, Graph) else build_graph(spec, caps)
     return [
-        frozenset(graph.vertices[i] for i in _bits(mask))
+        frozenset(graph.vertices[i] for i in bit_indices(mask))
         for mask in bron_kerbosch_maximal_sets(graph.adj_bits)
     ]
 
@@ -320,11 +320,14 @@ def _is_maximal(graph: Graph, iset: frozenset) -> bool:
     return True
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, in increasing order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def bron_kerbosch_maximal_sets(adj_bits: list) -> list[int]:
@@ -386,7 +389,7 @@ def product_maximal_sets_bits(mis1: list[int], mis2: list[int], n2: int) -> list
     for a in mis1:
         for b in mis2:
             mask = 0
-            for i1 in _bits(a):
+            for i1 in bit_indices(a):
                 mask |= b << (i1 * n2)
             out.append(mask)
     return sorted(out)

@@ -14,10 +14,16 @@ lexicographic ratio test, which rules out cycling under any entering
 rule; entering columns are ranked by a float pre-scan but always
 re-verified exactly, and optimality is only declared after a full exact
 pricing pass.
+
+This module checks its inputs but not its result: the certificates are
+verified once, exactly, by `coloring.fractional_chromatic_number`, which
+is the one verifier of every chi_f the lab reports.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .graphs import bit_indices
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,37 +59,7 @@ def solve_covering_lp(num_rows: int, columns: list[int]) -> CoveringSolution:
 
     solver = _RevisedSimplex(num_rows, columns)
     solver.solve()
-    value, primal, dual = solver.extract()
-
-    _check_certificates(num_rows, columns, value, primal, dual)
-    return CoveringSolution(value, primal, dual)
-
-
-def _bit_rows(mask: int) -> list[int]:
-    rows = []
-    while mask:
-        low = mask & -mask
-        rows.append(low.bit_length() - 1)
-        mask ^= low
-    return rows
-
-
-def _check_certificates(num_rows, columns, value, primal, dual):
-    cover = [ZERO] * num_rows
-    total = ZERO
-    for mask, w in primal:
-        if w < 0:
-            raise RuntimeError("negative primal weight")
-        total += w
-        for r in _bit_rows(mask):
-            cover[r] += w
-    if total != value or any(c < ONE for c in cover):
-        raise RuntimeError("primal certificate failed verification")
-    if any(y < 0 for y in dual) or sum(dual) != value:
-        raise RuntimeError("dual certificate failed verification")
-    for mask in columns:
-        if sum(dual[r] for r in _bit_rows(mask)) > ONE:
-            raise RuntimeError("dual certificate violates a column constraint")
+    return CoveringSolution(*solver.extract())
 
 
 class _RevisedSimplex:
@@ -96,7 +72,7 @@ class _RevisedSimplex:
 
     def __init__(self, n: int, columns: list[int]):
         self.n = n
-        self.col_rows = [_bit_rows(mask) for mask in columns]
+        self.col_rows = [bit_indices(mask) for mask in columns]
         self._init_basis(columns)
         self.nc = len(self.col_rows)
 
@@ -121,14 +97,14 @@ class _RevisedSimplex:
         piece_ids = []
         for mask in pieces:
             piece_ids.append(len(self.col_rows))
-            self.col_rows.append(_bit_rows(mask))
+            self.col_rows.append(bit_indices(mask))
 
         self.basis = [0] * n
         self.binv = [None] * n
         self.xb = [ZERO] * n
         nc_later = len(self.col_rows)
         for pid, mask in zip(piece_ids, pieces):
-            rows = _bit_rows(mask)
+            rows = bit_indices(mask)
             rep = rows[0]
             brow = [ZERO] * n
             brow[rep] = ONE
@@ -150,9 +126,6 @@ class _RevisedSimplex:
         if j < self.nc:
             return [(r, ONE) for r in self.col_rows[j]]
         return [(j - self.nc, -ONE)]
-
-    def _cost(self, j):
-        return ONE if j < self.nc else ZERO
 
     def _reduced_cost(self, j, y):
         if j < self.nc:

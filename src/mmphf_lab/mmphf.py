@@ -217,9 +217,8 @@ _ATTEMPT_BITS = 8
 _DWIDTH_BITS = 6
 
 
-def _rank_map_layout(n: int) -> tuple:
-    rbits = max(1, (n - 1).bit_length())
-    return rbits
+def _rank_map_layout(n: int) -> int:
+    return max(1, (n - 1).bit_length())
 
 
 def _build_rank_map(keys: KeySet, seed: int) -> BitString:

@@ -26,13 +26,18 @@ def parse_frac(s: str) -> Fraction:
 def int_str(x: int) -> str:
     """Decimal string of an arbitrary-precision integer.
 
-    Lifts the interpreter's int-to-str digit guard when the value is too
-    wide for the default limit.
+    Lifts the interpreter's int-to-str digit guard for this one conversion
+    when the value is too wide for it, and puts the caller's limit back
+    afterwards.  A limit of 0 already means unlimited.
     """
     limit_fn = getattr(sys, "get_int_max_str_digits", None)
-    if limit_fn is not None:
-        # digits ~= bits * log10(2); pad generously
-        need = int(x.bit_length() * 0.302) + 16
-        if need > limit_fn():
-            sys.set_int_max_str_digits(need)
-    return str(x)
+    limit = limit_fn() if limit_fn is not None else 0
+    # digits ~= bits * log10(2); pad generously
+    need = int(x.bit_length() * 0.302) + 16
+    if limit == 0 or need <= limit:
+        return str(x)
+    sys.set_int_max_str_digits(need)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)

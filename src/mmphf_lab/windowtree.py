@@ -25,25 +25,17 @@ cap, while the arithmetic of astronomically wide trees lives in
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import EnumerationCapExceeded
-from .harddist import SamplerParams, sample as sample_trace
+from .harddist import LabelFn, SamplerParams, _label_getter, sample as sample_trace
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
 from .serialize import frac_str
-
-LabelFn = Union[Mapping[int, int], Callable[[int], int]]
 
 KEPT = 0
 DIRECT = 1
 INDIRECT = 2
-
-
-def _label_getter(f: LabelFn) -> Callable[[int], int]:
-    if callable(f):
-        return f
-    return f.__getitem__
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mmphf_lab.cli import main
+from mmphf_lab.serialize import int_str
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +188,30 @@ class TestParameterize:
     def test_too_small_u(self, capsys):
         code, _, err = run_cli(capsys, "parameterize", "--n", "8", "--u", "3")
         assert code == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestIntStrDigitLimit:
+    def test_sample_under_unlimited_digits(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, _, _ = run_cli(capsys, "sample", "--m", "2", "--defaults")
+            assert sys.get_int_max_str_digits() == 0
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 0
+
+    def test_wide_integer_leaves_the_limit_as_found(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            assert int_str(10**5000) == "1" + "0" * 5000
+            assert sys.get_int_max_str_digits() == 1000
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestUsage:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from mmphf_lab import coloring
 from mmphf_lab.coloring import (
     DualWitness,
     chromatic_number,
@@ -134,6 +135,39 @@ class TestFractionalChromaticNumber:
         assert data["chi_f"] == "5/2"
         assert data["chi"] == 3
         assert all(isinstance(w, str) and "/" in w for w in data["primal"]["weights"])
+
+
+class TestOneVerifier:
+    """fractional_chromatic_number checks whatever the LP solver returns."""
+
+    @staticmethod
+    def solve_with(monkeypatch, g, corrupt):
+        real = coloring.solve_covering_lp
+
+        def corrupted(num_rows, columns):
+            sol = real(num_rows, columns)
+            corrupt(g, sol)
+            return sol
+
+        monkeypatch.setattr(coloring, "solve_covering_lp", corrupted)
+        return fractional_chromatic_number(g)
+
+    def test_primal_set_gaining_a_neighbour_is_rejected(self, monkeypatch):
+        def add_neighbour(g, sol):
+            mask, w = sol.primal[0]
+            v = (mask & -mask).bit_length() - 1
+            nbrs = g.adj_bits[v]
+            sol.primal[0] = (mask | (nbrs & -nbrs), w)
+
+        with pytest.raises(RuntimeError, match="not independent"):
+            self.solve_with(monkeypatch, cycle(5), add_neighbour)
+
+    def test_raised_dual_weight_is_rejected(self, monkeypatch):
+        def raise_dual(g, sol):
+            sol.dual[0] += Fraction(1, 2)
+
+        with pytest.raises(RuntimeError, match="dual"):
+            self.solve_with(monkeypatch, cycle(5), raise_dual)
 
 
 class TestDualWitness:

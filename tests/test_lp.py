@@ -8,10 +8,25 @@ from mmphf_lab.lp import solve_covering_lp
 from oracles import brute_lp_chi_f
 
 
+def assert_certificates(n, cols, sol):
+    """Feasible primal and dual of the solution's value; the solver checks neither."""
+    cover = [0] * n
+    for mask, w in sol.primal:
+        assert w > 0 and any(mask & ~c == 0 for c in cols)
+        for r in range(n):
+            if mask >> r & 1:
+                cover[r] += w
+    assert min(cover) >= 1 and sum(w for _, w in sol.primal) == sol.value
+    assert min(sol.dual) >= 0 and sum(sol.dual) == sol.value
+    for c in cols:
+        assert sum(y for r, y in enumerate(sol.dual) if c >> r & 1) <= 1
+
+
 def test_c5_cycle_cover():
     cols = [(1 << i) | (1 << ((i + 2) % 5)) for i in range(5)]
     sol = solve_covering_lp(5, cols)
     assert sol.value == Fraction(5, 2)
+    assert_certificates(5, cols, sol)
 
 
 def test_singletons():
@@ -63,3 +78,4 @@ def test_matches_brute_force_on_random_instances(n, data):
     sol = solve_covering_lp(n, cols)
     sets = [frozenset(i for i in range(n) if c >> i & 1) for c in cols]
     assert sol.value == brute_lp_chi_f(n, sets)
+    assert_certificates(n, cols, sol)
