@@ -4,7 +4,13 @@ Outputs are JSON (default) or CSV with fixed per-subcommand columns;
 rationals are emitted as "p/q" strings, never floats, except Monte-Carlo
 estimates which always carry explicit confidence-interval columns.  Every
 artifact embeds {tool version, seed, config} and runs are byte-identical
-for identical (flags, seed).  Exit codes: 0 ok, 2 usage or cap errors.
+for identical (flags, seed).  Exit codes: 0 ok; 2 for usage errors,
+exceeded caps, I/O errors, and a failed verification (`case1-sweep`,
+`mmphf-verify`, `sx-roundtrip`), whose artifact is still written.
+
+Each subcommand is one `COMMANDS` entry: help text, CSV columns, a
+function adding its flags, and a body returning (payload, rows, ok).
+`main` parses, renders, writes and picks the exit code for all of them.
 """
 
 import argparse
@@ -13,32 +19,37 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import __version__, coloring, graphs, harddist, mmphf, windowtree
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import EnumerationCapExceeded, MmphfLabError
+from .rng import BitSampler, derive_seed
 from .serialize import frac_str, parse_frac
 from .tower import parse_tower
 
 PROG = "mmphf-lab"
+KV = ("key", "value")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    _, columns, _, body = COMMANDS[args.command]
     try:
-        return args.func(args)
+        payload, rows, ok = body(args)
+        _write(args.out, _render(args, columns, payload, rows))
     except EnumerationCapExceeded as e:
         print(f"{PROG}: {e}", file=sys.stderr)
         return 2
-    except (MmphfLabError, ValueError) as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (MmphfLabError, ValueError, OSError) as e:
+        print(f"{PROG}: error: {e}", file=sys.stderr)
+        return 2
+    return 0 if ok else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,13 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, columns=None):
+    for name, (help_text, columns, flags, _) in COMMANDS.items():
         sp = sub.add_parser(
-            name,
-            help=help_text,
-            description=help_text
-            + (f"  CSV columns: {', '.join(columns)}." if columns else ""),
+            name, help=help_text, description=f"{help_text}  CSV columns: {', '.join(columns)}."
         )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
@@ -65,210 +72,46 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-label-functions", type=int, default=DEFAULT_CAPS.max_label_functions
         )
         sp.add_argument("--max-outcomes", type=int, default=DEFAULT_CAPS.max_outcomes)
-        return sp
-
-    sp = add("graph", "build a graph family member and export it", ["key", "value"])
-    _graph_flags(sp)
-    sp.add_argument("--export", choices=("summary", "dimacs", "json"), default="summary")
-    sp.set_defaults(func=_cmd_graph)
-
-    sp = add("chi", "exact chromatic number with a proper coloring witness", ["key", "value"])
-    _graph_flags(sp)
-    sp.set_defaults(func=_cmd_chi)
-
-    sp = add(
-        "chif",
-        "exact fractional chromatic number with primal/dual certificates",
-        ["key", "value"],
-    )
-    _graph_flags(sp)
-    sp.add_argument("--skip-chi", action="store_true", help="skip the integral solve")
-    sp.set_defaults(func=_cmd_chif)
-
-    sp = add(
-        "sample",
-        "draw hard-distribution traces and verify their invariants",
-        ["trial", "seed", "verified", "y*", "z*", "x*", "s*"],
-    )
-    _params_flags(sp)
-    sp.add_argument("--trials", type=int, default=1)
-    sp.set_defaults(func=_cmd_sample)
-
-    sp = add(
-        "enumerate",
-        "exact law of the tuple distribution at tiny parameters",
-        ["tuple", "probability"],
-    )
-    _params_flags(sp)
-    sp.set_defaults(func=_cmd_enumerate)
-
-    sp = add(
-        "adversary",
-        "exhaustive best-response label function on an explicit tuple distribution",
-        ["key", "value"],
-    )
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--tuples",
-        help='inline distribution like "1,2=1/2;2,3=1/2"',
-    )
-    group.add_argument(
-        "--dist-file", help="JSON file in the format written by `enumerate`"
-    )
-    sp.add_argument("--universe", type=int, help="universe size (default: max element)")
-    sp.set_defaults(func=_cmd_adversary)
-
-    sp = add(
-        "prune",
-        "prune a window tree for a label sequence and report level fractions",
-        ["level", "total", "kept", "directly_pruned", "indirectly_pruned", "p"],
-    )
-    sp.add_argument("--arity", type=int, required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--start", type=int, default=1)
-    sp.add_argument("--labels", required=True, help="comma-separated labels of the root window")
-    sp.add_argument("--index", type=int, required=True)
-    sp.add_argument("--tau", required=True, help='sparsity threshold as "p/q"')
-    sp.set_defaults(func=_cmd_prune)
-
-    sp = add(
-        "case1-sweep",
-        "randomized sweep of the sparse-case density bound and leaf identity",
-        [
-            "instance",
-            "arity",
-            "depth",
-            "tau",
-            "delta",
-            "survival",
-            "root_density",
-            "fired",
-            "holds",
-            "leaf_identity",
-        ],
-    )
-    sp.add_argument("--instances", type=int, default=100)
-    sp.add_argument("--max-arity", type=int, default=4)
-    sp.add_argument("--max-depth", type=int, default=2)
-    sp.set_defaults(func=_cmd_case1_sweep)
-
-    sp = add(
-        "mmphf-verify",
-        "build an index and verify member ranks are 0..n-1",
-        ["element", "rank", "ok"],
-    )
-    sp.add_argument("--scheme", choices=mmphf.SCHEMES, required=True)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--keys", help="comma-separated increasing keys")
-    group.add_argument("--keys-file", help="file with a u= header then one key per line")
-    sp.add_argument("--u", type=int, help="universe size (with --keys)")
-    sp.set_defaults(func=_cmd_mmphf_verify)
-
-    sp = add(
-        "bound-report",
-        "measured index sizes against exact chi and chi_f on a conflict graph",
-        ["key", "value"],
-    )
-    sp.add_argument("--scheme", choices=mmphf.SCHEMES, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--M", type=int, required=True)
-    sp.set_defaults(func=_cmd_bound_report)
-
-    sp = add(
-        "sx-roundtrip",
-        "round-trip every bit string up to a length through anchored key sets",
-        ["d", "strings", "distinct_payloads", "max_payload_bits", "ok"],
-    )
-    sp.add_argument("--scheme", choices=mmphf.SCHEMES, default=mmphf.SCHEME_EXPLICIT_SET)
-    sp.add_argument("--max-d", type=int, default=10)
-    sp.set_defaults(func=_cmd_sx_roundtrip)
-
-    sp = add(
-        "parameterize",
-        "exact block-decomposition parameters for (n, u); u may be a 2^2^... tower",
-        ["key", "value"],
-    )
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--u", required=True, help='integer or tower like "2^2^64"')
-    sp.set_defaults(func=_cmd_parameterize)
-
+        flags(sp)
     return p
-
-
-def _graph_flags(sp):
-    sp.add_argument("--graph", choices=("conflict", "shift"), required=True)
-    sp.add_argument("--m", type=int, help="tuple size (conflict)")
-    sp.add_argument("--M", type=int, help="universe width (conflict)")
-    sp.add_argument("--offset", type=int, default=0)
-    sp.add_argument("--n", type=int, help="tuple size (shift)")
-    sp.add_argument("--u", type=int, help="universe size (shift)")
-
-
-def _params_flags(sp):
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--k", type=int, help="step granularity (>= 2)")
-    sp.add_argument("--s0", type=int, help="initial exponent")
-    sp.add_argument(
-        "--defaults",
-        action="store_true",
-        help="use the canonical parameters k = m^m, s0 = k^(m+1)",
-    )
-
-
-def _caps(args) -> EnumerationCaps:
-    return EnumerationCaps(
-        max_vertices=args.max_vertices,
-        max_label_functions=args.max_label_functions,
-        max_outcomes=args.max_outcomes,
-    )
-
-
-def _spec(args) -> graphs.GraphSpec:
-    if args.graph == "conflict":
-        if args.m is None or args.M is None:
-            raise ValueError("conflict graphs need --m and --M")
-        return graphs.ConflictSpec(args.m, args.M, args.offset)
-    if args.n is None or args.u is None:
-        raise ValueError("shift graphs need --n and --u")
-    return graphs.ShiftSpec(args.n, args.u)
-
-
-def _params(args) -> harddist.SamplerParams:
-    if args.defaults:
-        return harddist.SamplerParams.canonical(args.m)
-    if args.k is None or args.s0 is None:
-        raise ValueError("need --k and --s0, or --defaults")
-    return harddist.SamplerParams(args.m, args.k, args.s0)
 
 
 def _metadata(args) -> dict:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out", "format") and v is not None
+        if k not in ("out", "format") and v is not None
     }
     return {"tool": PROG, "version": __version__, "seed": args.seed, "config": config}
 
 
-def _emit(args, payload: dict, rows: list, columns: list) -> int:
+def _render(args, columns, payload, rows) -> str:
+    """The artifact text: a raw string payload as is, else JSON or CSV.
+
+    CSV rows default to the payload's flattened key/value pairs; a row
+    given as a dict is projected onto the columns.
+    """
+    if isinstance(payload, str):
+        return payload
+    meta = _metadata(args)
     if args.format == "json":
-        text = json.dumps({"meta": _metadata(args), **payload}, indent=2, sort_keys=True)
-        text += "\n"
-    else:
-        buf = io.StringIO()
-        meta = _metadata(args)
-        buf.write(f"# {meta['tool']} {meta['version']} seed={meta['seed']} "
-                  f"config={json.dumps(meta['config'], sort_keys=True)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out == "-":
+        return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# {meta['tool']} {meta['version']} seed={meta['seed']} "
+              f"config={json.dumps(meta['config'], sort_keys=True)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in _kv_rows(payload) if rows is None else rows:
+        writer.writerow([row[c] for c in columns] if isinstance(row, dict) else row)
+    return buf.getvalue()
+
+
+def _write(out: str, text: str) -> None:
+    if out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
-    return 0
 
 
 def _kv_rows(d: dict, prefix="") -> list:
@@ -282,48 +125,103 @@ def _kv_rows(d: dict, prefix="") -> list:
     return rows
 
 
-# -- subcommand bodies -------------------------------------------------------
+def _caps(args) -> EnumerationCaps:
+    return EnumerationCaps(
+        max_vertices=args.max_vertices,
+        max_label_functions=args.max_label_functions,
+        max_outcomes=args.max_outcomes,
+    )
 
 
-def _cmd_graph(args) -> int:
-    g = graphs.build_graph(_spec(args), _caps(args))
+# -- graphs and colorings ----------------------------------------------------
+
+
+def _graph_flags(sp):
+    sp.add_argument("--graph", choices=("conflict", "shift"), required=True)
+    sp.add_argument("--m", type=int, help="tuple size (conflict)")
+    sp.add_argument("--M", type=int, help="universe width (conflict)")
+    sp.add_argument("--offset", type=int, default=0)
+    sp.add_argument("--n", type=int, help="tuple size (shift)")
+    sp.add_argument("--u", type=int, help="universe size (shift)")
+
+
+def _build_graph(args) -> graphs.Graph:
+    if args.graph == "conflict":
+        if args.m is None or args.M is None:
+            raise ValueError("conflict graphs need --m and --M")
+        spec = graphs.ConflictSpec(args.m, args.M, args.offset)
+    else:
+        if args.n is None or args.u is None:
+            raise ValueError("shift graphs need --n and --u")
+        spec = graphs.ShiftSpec(args.n, args.u)
+    return graphs.build_graph(spec, _caps(args))
+
+
+def _graph_export_flags(sp):
+    _graph_flags(sp)
+    sp.add_argument("--export", choices=("summary", "dimacs", "json"), default="summary")
+
+
+def _graph(args):
+    g = _build_graph(args)
     if args.export == "dimacs":
-        text = graphs.to_dimacs(g, comment=f"{PROG} {args.graph} graph")
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        return 0
+        return graphs.to_dimacs(g, comment=f"{PROG} {args.graph} graph"), None, True
     payload = {"vertices": g.n, "edges": len(g.edges)}
     if args.export == "json":
         payload["vertex_list"] = [list(v) for v in g.vertices]
         payload["edge_list"] = [[i, j] for (i, j) in g.edges]
-    return _emit(args, payload, _kv_rows(payload), ["key", "value"])
+    return payload, None, True
 
 
-def _cmd_chi(args) -> int:
-    g = graphs.build_graph(_spec(args), _caps(args))
-    chi, witness = coloring.chromatic_number(g, _caps(args))
-    payload = {"chi": chi, "coloring": witness}
-    return _emit(args, payload, _kv_rows(payload), ["key", "value"])
+def _chi(args):
+    chi, witness = coloring.chromatic_number(_build_graph(args), _caps(args))
+    return {"chi": chi, "coloring": witness}, None, True
 
 
-def _cmd_chif(args) -> int:
-    g = graphs.build_graph(_spec(args), _caps(args))
+def _chif_flags(sp):
+    _graph_flags(sp)
+    sp.add_argument("--skip-chi", action="store_true", help="skip the integral solve")
+
+
+def _chif(args):
     report = coloring.fractional_chromatic_number(
-        g, _caps(args), include_chi=not args.skip_chi
+        _build_graph(args), _caps(args), include_chi=not args.skip_chi
     )
-    payload = report.to_json_dict()
-    return _emit(args, payload, _kv_rows(payload), ["key", "value"])
+    return report.to_json_dict(), None, True
 
 
-def _cmd_sample(args) -> int:
+# -- the hard distribution ---------------------------------------------------
+
+
+def _params_flags(sp):
+    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--k", type=int, help="step granularity (>= 2)")
+    sp.add_argument("--s0", type=int, help="initial exponent")
+    sp.add_argument(
+        "--defaults",
+        action="store_true",
+        help="use the canonical parameters k = m^m, s0 = k^(m+1)",
+    )
+
+
+def _params(args) -> harddist.SamplerParams:
+    if args.defaults:
+        return harddist.SamplerParams.canonical(args.m)
+    if args.k is None or args.s0 is None:
+        raise ValueError("need --k and --s0, or --defaults")
+    return harddist.SamplerParams(args.m, args.k, args.s0)
+
+
+def _sample_flags(sp):
+    _params_flags(sp)
+    sp.add_argument("--trials", type=int, default=1)
+
+
+def _sample(args):
     params = _params(args)
     records = []
-    rows = []
     for t in range(args.trials):
-        trace = harddist.sample(params, harddist.derive_seed(args.seed, t))
+        trace = harddist.sample(params, derive_seed(args.seed, t))
         ok, bad = harddist.verify_trace(trace)
         rec = trace.to_json_dict()
         rec["trial"] = t
@@ -331,23 +229,31 @@ def _cmd_sample(args) -> int:
         if bad:
             rec["violations"] = bad
         records.append(rec)
-        row = [t, trace.seed, ok]
-        for field in ("y", "z", "x", "s"):
-            row.append(";".join(it[field] for it in rec["iterations"]))
-        rows.append(row)
+    rows = [
+        dict(rec, **{f: ";".join(it[f] for it in rec["iterations"]) for f in "yzxs"})
+        for rec in records
+    ]
     payload = {"params": {"m": params.m, "k": params.k, "s0": params.s0}, "traces": records}
-    return _emit(args, payload, rows, ["trial", "seed", "verified", "y", "z", "x", "s"])
+    return payload, rows, True
 
 
-def _cmd_enumerate(args) -> int:
+def _enumerate(args):
     dist = harddist.enumerate_distribution(_params(args), _caps(args))
-    payload = {
-        "m": dist.m,
-        "universe_size": dist.universe_size,
-        "outcomes": [[list(t), frac_str(p)] for t, p in dist.outcomes],
-    }
-    rows = [[";".join(map(str, t)), frac_str(p)] for t, p in dist.outcomes]
-    return _emit(args, payload, rows, ["tuple", "probability"])
+    outcomes = [[list(t), frac_str(p)] for t, p in dist.outcomes]
+    payload = {"m": dist.m, "universe_size": dist.universe_size, "outcomes": outcomes}
+    return payload, [[";".join(map(str, t)), p] for t, p in outcomes], True
+
+
+def _adversary_flags(sp):
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--tuples",
+        help='inline distribution like "1,2=1/2;2,3=1/2"',
+    )
+    group.add_argument(
+        "--dist-file", help="JSON file in the format written by `enumerate`"
+    )
+    sp.add_argument("--universe", type=int, help="universe size (default: max element)")
 
 
 def _parse_distribution(args) -> harddist.ExplicitTupleDistribution:
@@ -362,6 +268,8 @@ def _parse_distribution(args) -> harddist.ExplicitTupleDistribution:
         with open(args.dist_file) as fh:
             data = json.load(fh)
         outcomes = [(tuple(t), parse_frac(p)) for t, p in data["outcomes"]]
+    if not outcomes:
+        raise ValueError("the distribution has no outcomes")
     m = len(outcomes[0][0])
     universe = args.universe or max(t[-1] for t, _ in outcomes)
     return harddist.ExplicitTupleDistribution(
@@ -369,7 +277,7 @@ def _parse_distribution(args) -> harddist.ExplicitTupleDistribution:
     )
 
 
-def _cmd_adversary(args) -> int:
+def _adversary(args):
     dist = _parse_distribution(args)
     best, f = harddist.adversary_bound_exact(dist, _caps(args))
     payload = {
@@ -377,35 +285,40 @@ def _cmd_adversary(args) -> int:
         "argmax_labels": [f[e] for e in range(1, dist.universe_size + 1)],
         "universe_size": dist.universe_size,
     }
-    return _emit(args, payload, _kv_rows(payload), ["key", "value"])
+    return payload, None, True
 
 
-def _cmd_prune(args) -> int:
+# -- window trees ------------------------------------------------------------
+
+
+def _prune_flags(sp):
+    sp.add_argument("--arity", type=int, required=True)
+    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--start", type=int, default=1)
+    sp.add_argument("--labels", required=True, help="comma-separated labels of the root window")
+    sp.add_argument("--index", type=int, required=True)
+    sp.add_argument("--tau", required=True, help='sparsity threshold as "p/q"')
+
+
+def _prune(args):
     labels = [int(x) for x in args.labels.split(",")]
     spec = windowtree.WindowTreeSpec(
         arity=args.arity, depth=args.depth, start=args.start, length=len(labels)
     )
     tree = windowtree.build_tree(spec, _caps(args))
     f = {args.start + i: v for i, v in enumerate(labels)}
-    result = windowtree.prune(tree, f, args.index, parse_frac(args.tau))
-    payload = result.to_json_dict()
-    rows = [
-        [lvl["level"], lvl["total"], lvl["kept"], lvl["directly_pruned"],
-         lvl["indirectly_pruned"], lvl["p"]]
-        for lvl in payload["levels"]
-    ]
-    return _emit(
-        args, payload, rows,
-        ["level", "total", "kept", "directly_pruned", "indirectly_pruned", "p"],
-    )
+    payload = windowtree.prune(tree, f, args.index, parse_frac(args.tau)).to_json_dict()
+    return payload, payload["levels"], True
 
 
-def _cmd_case1_sweep(args) -> int:
-    from .rng import BitSampler, derive_seed
+def _case1_flags(sp):
+    sp.add_argument("--instances", type=int, default=100)
+    sp.add_argument("--max-arity", type=int, default=4)
+    sp.add_argument("--max-depth", type=int, default=2)
 
-    rows = []
+
+def _case1_sweep(args):
     records = []
-    all_hold = True
     for inst in range(args.instances):
         rng = BitSampler(derive_seed(args.seed, inst))
         arity = 2 + rng.choice_index(max(args.max_arity - 1, 1))
@@ -422,14 +335,6 @@ def _cmd_case1_sweep(args) -> int:
         # draw delta at or above the survival product so the hypothesis fires
         delta = min(survival + Fraction(rng.choice_index(10), 10), Fraction(1))
         holds = windowtree.case1_inequality_check(tree, f, index, tau, delta)
-        fired = survival <= delta
-        leaf_ok = result.kept_leaf_fraction == survival
-        all_hold = all_hold and holds and leaf_ok
-        root_density = windowtree.density(tree.window(0, 0), f, index)
-        rows.append(
-            [inst, arity, depth, frac_str(tau), frac_str(delta), frac_str(survival),
-             frac_str(root_density), fired, holds, leaf_ok]
-        )
         records.append(
             {
                 "instance": inst,
@@ -438,23 +343,28 @@ def _cmd_case1_sweep(args) -> int:
                 "tau": frac_str(tau),
                 "delta": frac_str(delta),
                 "survival": frac_str(survival),
-                "root_density": frac_str(root_density),
-                "fired": fired,
+                "root_density": frac_str(windowtree.density(tree.window(0, 0), f, index)),
+                "fired": survival <= delta,
                 "holds": holds,
-                "leaf_identity": leaf_ok,
+                "leaf_identity": result.kept_leaf_fraction == survival,
             }
         )
-    payload = {"instances": records, "all_hold": all_hold}
-    code = 0 if all_hold else 2
-    _emit(
-        args, payload, rows,
-        ["instance", "arity", "depth", "tau", "delta", "survival", "root_density",
-         "fired", "holds", "leaf_identity"],
-    )
-    return code
+    all_hold = all(rec["holds"] and rec["leaf_identity"] for rec in records)
+    return {"instances": records, "all_hold": all_hold}, records, all_hold
 
 
-def _cmd_mmphf_verify(args) -> int:
+# -- rank indexes ------------------------------------------------------------
+
+
+def _mmphf_verify_flags(sp):
+    sp.add_argument("--scheme", choices=mmphf.SCHEMES, required=True)
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--keys", help="comma-separated increasing keys")
+    group.add_argument("--keys-file", help="file with a u= header then one key per line")
+    sp.add_argument("--u", type=int, help="universe size (with --keys)")
+
+
+def _mmphf_verify(args):
     if args.keys is not None:
         if args.u is None:
             raise ValueError("--keys needs --u")
@@ -465,71 +375,123 @@ def _cmd_mmphf_verify(args) -> int:
         with open(args.keys_file) as fh:
             keys = mmphf.keyset_from_text(fh.read())
     idx = mmphf.build(args.scheme, keys, seed=args.seed)
-    rows = []
-    ok_all = True
-    for j, e in enumerate(keys.elements):
-        r = mmphf.query(idx, e)
-        ok = r == j
-        ok_all = ok_all and ok
-        rows.append([e, r, ok])
+    answers = [[e, mmphf.query(idx, e)] for e in keys.elements]
+    rows = [[e, r, r == j] for j, (e, r) in enumerate(answers)]
+    ok = all(row[2] for row in rows)
     payload = {
         "scheme": args.scheme,
         "n": keys.n,
         "u": keys.u,
         "payload_bits": idx.size_bits,
         "total_bits": idx.total_bits,
-        "answers": [[e, r] for e, r, _ in rows],
-        "ok": ok_all,
+        "answers": answers,
+        "ok": ok,
     }
-    _emit(args, payload, rows, ["element", "rank", "ok"])
-    return 0 if ok_all else 2
+    return payload, rows, ok
 
 
-def _cmd_bound_report(args) -> int:
+def _bound_report_flags(sp):
+    sp.add_argument("--scheme", choices=mmphf.SCHEMES, required=True)
+    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--M", type=int, required=True)
+
+
+def _bound_report(args):
     report = mmphf.bound_report(
         args.scheme, graphs.ConflictSpec(args.m, args.M), seed=args.seed, caps=_caps(args)
     )
-    payload = report.to_json_dict()
-    return _emit(args, payload, _kv_rows(payload), ["key", "value"])
+    return report.to_json_dict(), None, True
 
 
-def _cmd_sx_roundtrip(args) -> int:
-    from itertools import product as iproduct
+def _sx_flags(sp):
+    sp.add_argument("--scheme", choices=mmphf.SCHEMES, default=mmphf.SCHEME_EXPLICIT_SET)
+    sp.add_argument("--max-d", type=int, default=10)
 
-    rows = []
+
+def _sx_roundtrip(args):
     records = []
-    ok_all = True
     for d in range(1, args.max_d + 1):
         payloads = set()
         max_bits = 0
         ok = True
-        for bits in iproduct((0, 1), repeat=d):
+        for bits in product((0, 1), repeat=d):
             idx = mmphf.build(args.scheme, mmphf.encode_bitstring(bits), seed=args.seed)
             payloads.add(idx.payload)
             max_bits = max(max_bits, idx.size_bits)
             if mmphf.decode_bitstring(idx, d) != bits:
                 ok = False
-        ok = ok and len(payloads) == 1 << d and max_bits >= d
-        ok_all = ok_all and ok
-        rows.append([d, 1 << d, len(payloads), max_bits, ok])
         records.append(
             {
                 "d": d,
                 "strings": 1 << d,
                 "distinct_payloads": len(payloads),
                 "max_payload_bits": max_bits,
-                "ok": ok,
+                "ok": ok and len(payloads) == 1 << d and max_bits >= d,
             }
         )
-    payload = {"scheme": args.scheme, "rounds": records, "ok": ok_all}
-    _emit(args, payload, rows, ["d", "strings", "distinct_payloads", "max_payload_bits", "ok"])
-    return 0 if ok_all else 2
+    ok_all = all(rec["ok"] for rec in records)
+    return {"scheme": args.scheme, "rounds": records, "ok": ok_all}, records, ok_all
 
 
-def _cmd_parameterize(args) -> int:
-    fp = mmphf.parameterize(args.n, parse_tower(args.u))
-    payload = fp.to_json_dict()
-    return _emit(args, payload, _kv_rows(payload), ["key", "value"])
+def _parameterize_flags(sp):
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--u", required=True, help='integer or tower like "2^2^64"')
+
+
+def _parameterize(args):
+    return mmphf.parameterize(args.n, parse_tower(args.u)).to_json_dict(), None, True
+
+
+# name -> (help, CSV columns, flags, body); bodies return (payload, rows, ok),
+# where rows is None for the payload's key/value pairs and a str payload is
+# written raw.
+COMMANDS = {
+    "graph": ("build a graph family member and export it", KV, _graph_export_flags, _graph),
+    "chi": ("exact chromatic number with a proper coloring witness", KV, _graph_flags, _chi),
+    "chif": (
+        "exact fractional chromatic number with primal/dual certificates",
+        KV, _chif_flags, _chif,
+    ),
+    "sample": (
+        "draw hard-distribution traces and verify their invariants",
+        ("trial", "seed", "verified", "y", "z", "x", "s"), _sample_flags, _sample,
+    ),
+    "enumerate": (
+        "exact law of the tuple distribution at tiny parameters",
+        ("tuple", "probability"), _params_flags, _enumerate,
+    ),
+    "adversary": (
+        "exhaustive best-response label function on an explicit tuple distribution",
+        KV, _adversary_flags, _adversary,
+    ),
+    "prune": (
+        "prune a window tree for a label sequence and report level fractions",
+        ("level", "total", "kept", "directly_pruned", "indirectly_pruned", "p"),
+        _prune_flags, _prune,
+    ),
+    "case1-sweep": (
+        "randomized sweep of the sparse-case density bound and leaf identity",
+        ("instance", "arity", "depth", "tau", "delta", "survival", "root_density",
+         "fired", "holds", "leaf_identity"),
+        _case1_flags, _case1_sweep,
+    ),
+    "mmphf-verify": (
+        "build an index and verify member ranks are 0..n-1",
+        ("element", "rank", "ok"), _mmphf_verify_flags, _mmphf_verify,
+    ),
+    "bound-report": (
+        "measured index sizes against exact chi and chi_f on a conflict graph",
+        KV, _bound_report_flags, _bound_report,
+    ),
+    "sx-roundtrip": (
+        "round-trip every bit string up to a length through anchored key sets",
+        ("d", "strings", "distinct_payloads", "max_payload_bits", "ok"), _sx_flags, _sx_roundtrip,
+    ),
+    "parameterize": (
+        "exact block-decomposition parameters for (n, u); u may be a 2^2^... tower",
+        KV, _parameterize_flags, _parameterize,
+    ),
+}
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ vertex prices and the optimal value agree as Fraction equalities (strong
 duality, no floating point anywhere).  `fractional_chromatic_number`
 checks every report it returns once, in `_verify_report`: independent,
 covering primal sets, a dual feasible on every maximal set, equal values,
-and chi_f <= chi with a proper coloring.  The LP solver checks nothing of
-its own result.
+and chi_f <= chi with a proper coloring whose colors lie in range(chi).
+The LP solver checks nothing of its own result.
 
 The integral chromatic number comes from iterative deepening on the color
 count; each k-colorability test peels vertices of degree < k (always
@@ -306,6 +306,10 @@ def _verify_report(graph: Graph, mis: list, report: ChiReport) -> None:
     if report.chi is not None:
         if report.chi_f > report.chi:
             raise RuntimeError("chi_f exceeded chi; solver bug")
+        if len(report.coloring) != graph.n or any(
+            c not in range(report.chi) for c in report.coloring
+        ):
+            raise RuntimeError("coloring witness uses colors outside range(chi); solver bug")
         if not is_proper_coloring(graph, report.coloring):
             raise RuntimeError("coloring witness improper; solver bug")
 

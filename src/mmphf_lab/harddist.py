@@ -98,11 +98,6 @@ class WindowGeometry:
         """Fixed quotient of consecutive rungs, r_i = 2^step."""
         return 2**self.step
 
-    @property
-    def sampled_sizes(self) -> list:
-        """The sizes |Win_{i+1}| can actually take: rungs 1..k-1."""
-        return [_pow2(self.s_prev - j * self.step) for j in range(1, self.k)]
-
 
 def _pow2(e: int):
     return 1 << e if e >= 0 else Fraction(1, 1 << (-e))

@@ -26,7 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .coloring import fractional_chromatic_number
@@ -482,9 +482,3 @@ def parameterize(n: int, u: TowerInt) -> FoldParams:
         m_le_sqrt_n=m * m <= n,
     )
 
-
-def distinct_payloads(colorings: Iterable[dict]) -> int:
-    seen = set()
-    for colors in colorings:
-        seen.update(colors.values())
-    return len(seen)

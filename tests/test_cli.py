@@ -1,9 +1,12 @@
+import csv
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from mmphf_lab import mmphf
 from mmphf_lab.cli import main
 from mmphf_lab.serialize import int_str
 
@@ -12,6 +15,32 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_table(out):
+    """(header, body rows) of a CSV artifact, below its `# meta` line."""
+    lines = out.splitlines()
+    assert lines[0].startswith("# mmphf-lab")
+    header, *body = csv.reader(lines[1:])
+    return header, body
+
+
+# one small call per subcommand
+SMALL_CALLS = {
+    "graph": ["--graph", "conflict", "--m", "2", "--M", "4"],
+    "chi": ["--graph", "shift", "--n", "2", "--u", "6"],
+    "chif": ["--graph", "conflict", "--m", "2", "--M", "4"],
+    "sample": ["--m", "2", "--k", "2", "--s0", "8", "--trials", "2"],
+    "enumerate": ["--m", "1", "--k", "2", "--s0", "4"],
+    "adversary": ["--tuples", "1,2=1/2;2,3=1/2"],
+    "prune": ["--arity", "2", "--depth", "1", "--labels", "1,1,2,2", "--index", "1",
+              "--tau", "2/5"],
+    "case1-sweep": ["--instances", "6", "--seed", "5"],
+    "mmphf-verify": ["--scheme", "rank-map", "--keys", "3,17,40,99", "--u", "100"],
+    "bound-report": ["--scheme", "explicit-set", "--m", "2", "--M", "4"],
+    "sx-roundtrip": ["--max-d", "3"],
+    "parameterize": ["--n", "1024", "--u", "2^2^64"],
+}
 
 
 class TestChif:
@@ -212,6 +241,77 @@ class TestIntStrDigitLimit:
             assert sys.get_int_max_str_digits() == 1000
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CALLS))
+def test_csv_header_matches_help(capsys, command):
+    assert main([command, "--help"]) == 0
+    described = re.search(r"CSV columns: ([^.]*)\.", " ".join(capsys.readouterr().out.split()))
+    code, out, _ = run_cli(capsys, command, *SMALL_CALLS[command], "--format", "csv")
+    assert code == 0
+    assert csv_table(out)[0] == described.group(1).split(", ")
+
+
+class TestCsvRowsFromRecords:
+    """CSV body rows are the JSON records projected onto the CSV columns."""
+
+    @staticmethod
+    def both(capsys, command):
+        argv = [command, *SMALL_CALLS[command]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        return json.loads(out), csv_table(csv_out)
+
+    @pytest.mark.parametrize(
+        "command, records", [("prune", "levels"), ("case1-sweep", "instances"),
+                             ("sx-roundtrip", "rounds")]
+    )
+    def test_record_lists(self, capsys, command, records):
+        data, (header, body) = self.both(capsys, command)
+        assert body == [[str(rec[c]) for c in header] for rec in data[records]]
+
+    def test_mmphf_verify(self, capsys):
+        data, (header, body) = self.both(capsys, "mmphf-verify")
+        assert header == ["element", "rank", "ok"]
+        assert body == [[str(e), str(r), str(r == j)] for j, (e, r) in enumerate(data["answers"])]
+
+    def test_failed_verification_writes_its_artifact(self, capsys, monkeypatch, tmp_path):
+        real = mmphf.query
+        monkeypatch.setattr(mmphf, "query", lambda index, e: real(index, e) + 1)
+        out_file = tmp_path / "verify.json"
+        code, _, _ = run_cli(capsys, "mmphf-verify", *SMALL_CALLS["mmphf-verify"],
+                             "--out", str(out_file))
+        assert code == 2
+        assert json.loads(out_file.read_text())["ok"] is False
+
+
+class TestIoErrors:
+    """Unreadable inputs and unwritable outputs exit 2 with one stderr line."""
+
+    @pytest.fixture
+    def empty_dist(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"outcomes": []}')
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chi", "--graph", "shift", "--n", "2", "--u", "4", "--out", "{missing}/x.json"],
+            ["mmphf-verify", "--scheme", "rank-map", "--keys-file", "{missing}"],
+            ["adversary", "--dist-file", "{missing}"],
+            ["adversary", "--dist-file", "{empty}"],
+        ],
+        ids=["out", "keys-file", "dist-file", "empty-dist"],
+    )
+    def test_exit_2(self, capsys, tmp_path, empty_dist, argv):
+        argv = [a.format(missing=tmp_path / "missing", empty=empty_dist) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("mmphf-lab: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -169,6 +169,11 @@ class TestOneVerifier:
         with pytest.raises(RuntimeError, match="dual"):
             self.solve_with(monkeypatch, cycle(5), raise_dual)
 
+    def test_witness_with_more_colors_than_chi_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(coloring, "chromatic_number", lambda g, caps: (3, [0, 1, 2, 3, 4]))
+        with pytest.raises(RuntimeError, match="range\\(chi\\)"):
+            fractional_chromatic_number(cycle(5))
+
 
 class TestDualWitness:
     def test_uniform_on_c5(self):
