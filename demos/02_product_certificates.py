@@ -65,5 +65,5 @@ print("Composing by hand: K3 and K2 give value 6 on K6")
 r1 = fractional_chromatic_number(complete(3), include_chi=False)
 r2 = fractional_chromatic_number(complete(2), include_chi=False)
 x = compose_product_primal(r1.primal, r2.primal, 3, 2)
-y = compose_product_dual(r1.dual, r2.dual)
+y = compose_product_dual(r1.dual, r2.dual, 2)
 print("  composed primal value:", x.value, " composed dual value:", y.value)

@@ -267,7 +267,20 @@ def _parse_distribution(args) -> harddist.ExplicitTupleDistribution:
     else:
         with open(args.dist_file) as fh:
             data = json.load(fh)
-        outcomes = [(tuple(t), parse_frac(p)) for t, p in data["outcomes"]]
+        pairs = data.get("outcomes") if isinstance(data, dict) else None
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and isinstance(pair[0], list)
+            and len(pair[0]) > 0
+            and all(type(e) is int for e in pair[0])
+            and isinstance(pair[1], str)
+            for pair in pairs
+        ):
+            raise ValueError(
+                f'{args.dist_file}: expected {{"outcomes": [[[int, ...], "p/q"], ...]}}'
+            )
+        outcomes = [(tuple(t), parse_frac(p)) for t, p in pairs]
     if not outcomes:
         raise ValueError("the distribution has no outcomes")
     m = len(outcomes[0][0])

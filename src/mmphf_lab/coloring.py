@@ -19,7 +19,8 @@ results are deterministic.
 Dual witnesses double as vertex distributions: a distribution mu
 certifies chi_f >= 1 / (max independent-set mass), and the optimal dual
 rescaled by its total attains equality.  Certificates of or-products
-compose coordinatewise and multiply in value.
+compose coordinatewise and multiply in value; the composed pair is checked
+on the or-product by the same `_verify_report`.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,8 @@ from typing import Iterable, Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import EnumerationCapExceeded
-from .graphs import Graph, bit_indices, bron_kerbosch_maximal_sets, product_maximal_sets_bits
+from .graphs import Graph, bit_indices, bron_kerbosch_maximal_sets, or_product
+from .graphs import product_index, product_maximal_sets_bits
 from .lp import solve_covering_lp
 from .serialize import frac_str
 
@@ -368,11 +370,6 @@ def evaluate_dual_witness(
 # ---------------------------------------------------------------------------
 
 
-def product_index(i1: int, i2: int, n2: int) -> int:
-    """Canonical index of product vertex (i1, i2)."""
-    return i1 * n2 + i2
-
-
 def compose_product_primal(
     x1: FractionalColoring, x2: FractionalColoring, n1: int, n2: int
 ) -> FractionalColoring:
@@ -388,12 +385,11 @@ def compose_product_primal(
     return FractionalColoring(sets=sets, weights=weights)
 
 
-def compose_product_dual(y1: DualWitness, y2: DualWitness) -> "_ProductDual":
+def compose_product_dual(y1: DualWitness, y2: DualWitness, n2: int) -> DualWitness:
     """Product witness: weight of (u1, u2) is the product of weights.
 
-    Feasibility needs the factor witnesses to be feasible; since product
-    vertices are indexed by pairs, the result carries a pair-keyed mapping
-    plus a flattener for a concrete factor size.
+    Feasibility needs the factor witnesses to be feasible; n2 is the size of
+    the right factor, which fixes the product's vertex indexing.
     """
     if any(w < 0 for w in y1.weights.values()) or any(w < 0 for w in y2.weights.values()):
         raise ValueError("input dual witness has negative weights")
@@ -401,22 +397,8 @@ def compose_product_dual(y1: DualWitness, y2: DualWitness) -> "_ProductDual":
     for u1, w1 in y1.weights.items():
         for u2, w2 in y2.weights.items():
             if w1 * w2 != ZERO:
-                weights[(u1, u2)] = w1 * w2
-    return _ProductDual(weights)
-
-
-@dataclass
-class _ProductDual:
-    pair_weights: dict  # (i1, i2) -> Fraction
-
-    @property
-    def value(self) -> Fraction:
-        return sum(self.pair_weights.values(), ZERO)
-
-    def flatten(self, n2: int) -> DualWitness:
-        return DualWitness(
-            weights={product_index(a, b, n2): w for (a, b), w in self.pair_weights.items()}
-        )
+                weights[product_index(u1, u2, n2)] = w1 * w2
+    return DualWitness(weights=weights)
 
 
 def product_multiplicativity_certificates(
@@ -424,25 +406,23 @@ def product_multiplicativity_certificates(
 ) -> tuple:
     """Prove chi_f(G1 v G2) = chi_f(G1) * chi_f(G2) by certificate squeeze.
 
-    Solves each factor exactly, composes the certificates, and verifies the
-    composed primal is feasible on the product while the composed dual is
-    feasible against the product's maximal sets.  Matching values squeeze
-    chi_f of the product to exactly the product of the factor values.
+    Solves each factor exactly and composes the certificates into a report
+    of value chi_f(G1) * chi_f(G2).  `_verify_report` then checks it on the
+    or-product against the product's maximal sets, like any other report:
+    every composed set independent and covering, the dual feasible, and
+    both values equal.  Matching values squeeze chi_f of the product to
+    exactly the product of the factor values.
     Returns (product_value, composed_primal, composed_dual).
     """
     r1 = fractional_chromatic_number(g1, caps, include_chi=False)
     r2 = fractional_chromatic_number(g2, caps, include_chi=False)
-    n1, n2 = g1.n, g2.n
-    target = r1.chi_f * r2.chi_f
-
-    primal = compose_product_primal(r1.primal, r2.primal, n1, n2)
-    if primal.value != target or not verify_primal(n1 * n2, primal):
-        raise RuntimeError("composed primal failed verification")
-
-    dual = compose_product_dual(r1.dual, r2.dual).flatten(n2)
-    mis_prod = product_maximal_sets_bits(
-        maximal_sets_bits(g1, caps), maximal_sets_bits(g2, caps), n2
+    report = ChiReport(
+        chi_f=r1.chi_f * r2.chi_f,
+        primal=compose_product_primal(r1.primal, r2.primal, g1.n, g2.n),
+        dual=compose_product_dual(r1.dual, r2.dual, g2.n),
     )
-    if dual.value != target or not verify_dual(mis_prod, dual):
-        raise RuntimeError("composed dual failed verification")
-    return target, primal, dual
+    mis = product_maximal_sets_bits(
+        maximal_sets_bits(g1, caps), maximal_sets_bits(g2, caps), g2.n
+    )
+    _verify_report(or_product(g1, g2), mis, report)
+    return report.chi_f, report.primal, report.dual

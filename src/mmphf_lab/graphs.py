@@ -9,9 +9,12 @@ Four constructions share one vertex vocabulary:
 * shift graphs: vertices are n-subsets of [u] with edges between
   (a1,...,an) and (a2,...,an+1); a subgraph of the conflict graph on the
   same parameters.
-* or-products: vertices are pairs, adjacent when either coordinate is.
+* or-products: vertices are pairs, adjacent when either coordinate is;
+  `or_product` builds one from its two built factors.
 * explicit graphs: arbitrary vertex and edge lists, used for small test
   inputs and cross-checks.
+
+The pairwise predicate `adjacent` covers the two tuple families only.
 
 Maximal independent sets of a conflict graph are in bijection with label
 functions f mapping each universe element to a position in [m]: the set
@@ -139,43 +142,30 @@ def vertex_count(spec: GraphSpec) -> int:
     return len(spec.vertices)
 
 
-def validate_vertex(spec: GraphSpec, v) -> None:
+def validate_vertex(spec: ConflictSpec | ShiftSpec, v) -> None:
     """Raise InvalidVertexError unless v is a vertex of spec."""
-    if isinstance(spec, (ConflictSpec, ShiftSpec)):
-        size = spec.m if isinstance(spec, ConflictSpec) else spec.n
-        if not isinstance(v, tuple) or len(v) != size:
-            raise InvalidVertexError(f"expected a {size}-tuple, got {v!r}")
-        lo, hi = spec.universe.start, spec.universe.stop - 1
-        prev = None
-        for e in v:
-            if not (lo <= e <= hi):
-                raise InvalidVertexError(f"element {e} outside universe [{lo}, {hi}]")
-            if prev is not None and e <= prev:
-                raise InvalidVertexError(f"tuple {v!r} is not strictly increasing")
-            prev = e
-    elif isinstance(spec, ProductSpec):
-        if not isinstance(v, tuple) or len(v) != 2:
-            raise InvalidVertexError(f"product vertex must be a pair, got {v!r}")
-        validate_vertex(spec.left, v[0])
-        validate_vertex(spec.right, v[1])
-    else:
-        if v not in spec.vertices:
-            raise InvalidVertexError(f"{v!r} is not a vertex of the explicit graph")
+    size = spec.m if isinstance(spec, ConflictSpec) else spec.n
+    if not isinstance(v, tuple) or len(v) != size:
+        raise InvalidVertexError(f"expected a {size}-tuple, got {v!r}")
+    lo, hi = spec.universe.start, spec.universe.stop - 1
+    prev = None
+    for e in v:
+        if not (lo <= e <= hi):
+            raise InvalidVertexError(f"element {e} outside universe [{lo}, {hi}]")
+        if prev is not None and e <= prev:
+            raise InvalidVertexError(f"tuple {v!r} is not strictly increasing")
+        prev = e
 
 
-def adjacent(spec: GraphSpec, v, w) -> bool:
-    """Adjacency predicate; symmetric and irreflexive for every spec."""
+def adjacent(spec: ConflictSpec | ShiftSpec, v, w) -> bool:
+    """Adjacency predicate of a tuple family; symmetric and irreflexive."""
     validate_vertex(spec, v)
     validate_vertex(spec, w)
     if v == w:
         return False
     if isinstance(spec, ConflictSpec):
         return _conflict_adjacent(v, w)
-    if isinstance(spec, ShiftSpec):
-        return v[1:] == w[:-1] or w[1:] == v[:-1]
-    if isinstance(spec, ProductSpec):
-        return adjacent(spec.left, v[0], w[0]) or adjacent(spec.right, v[1], w[1])
-    return (v, w) in spec.edges or (w, v) in spec.edges
+    return v[1:] == w[:-1] or w[1:] == v[:-1]
 
 
 def _conflict_adjacent(v: tuple, w: tuple) -> bool:
@@ -200,21 +190,30 @@ def iter_vertices(spec: GraphSpec) -> Iterator:
         yield from spec.vertices
 
 
+def product_index(i1: int, i2: int, n2: int) -> int:
+    """Canonical index of or-product vertex (i1, i2): the order of iter_vertices."""
+    return i1 * n2 + i2
+
+
 @dataclass
 class Graph:
-    """An explicitly enumerated graph: canonical vertex list plus edges.
+    """An explicitly enumerated graph: canonical vertex list plus adjacency.
 
     `adj_bits[i]` is the neighbourhood of vertex i as a bitmask, which keeps
-    the set arithmetic used by the enumerators exact and fast.
+    the set arithmetic used by the enumerators exact and fast.  `edges` is
+    derived from it: the (i, j) index pairs with i < j, in increasing order.
     """
 
     spec: GraphSpec
     vertices: list
-    edges: list  # list of (i, j) index pairs, i < j
     adj_bits: list = field(repr=False)
+    edges: list = field(init=False)
 
     def __post_init__(self):
         self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.edges = [
+            (i, j) for i, mask in enumerate(self.adj_bits) for j in bit_indices(mask) if j > i
+        ]
 
     @property
     def n(self) -> int:
@@ -232,17 +231,37 @@ def build_graph(spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     count = vertex_count(spec)
     if count > caps.max_vertices:
         raise EnumerationCapExceeded("max_vertices", count, caps.max_vertices)
+    if isinstance(spec, ProductSpec):
+        return or_product(build_graph(spec.left, caps), build_graph(spec.right, caps))
     vertices = list(iter_vertices(spec))
-    n = len(vertices)
-    adj_bits = [0] * n
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacent(spec, vertices[i], vertices[j]):
-                adj_bits[i] |= 1 << j
-                adj_bits[j] |= 1 << i
-                edges.append((i, j))
-    return Graph(spec=spec, vertices=vertices, edges=edges, adj_bits=adj_bits)
+    if isinstance(spec, ExplicitSpec):
+        index = {v: i for i, v in enumerate(vertices)}
+        pairs = ((index[a], index[b]) for a, b in spec.edges)
+    else:
+        pairs = (
+            (i, j) for i, j in combinations(range(len(vertices)), 2)
+            if adjacent(spec, vertices[i], vertices[j])
+        )
+    adj_bits = [0] * len(vertices)
+    for i, j in pairs:
+        adj_bits[i] |= 1 << j
+        adj_bits[j] |= 1 << i
+    return Graph(spec=spec, vertices=vertices, adj_bits=adj_bits)
+
+
+def or_product(g1: Graph, g2: Graph) -> Graph:
+    """The or-product of two built graphs: (i1, i2) ~ (j1, j2) iff i1 ~ j1 or i2 ~ j2."""
+    n1, n2 = g1.n, g2.n
+    full2 = (1 << n2) - 1
+    # in block j1 the neighbours of (i1, i2) are the whole block when i1 ~ j1
+    # and the neighbourhood of i2 otherwise; the blocks are disjoint, so sum is or
+    adj_bits = [
+        sum((full2 if g1.has_edge(i1, j1) else a2) << product_index(j1, 0, n2) for j1 in range(n1))
+        for i1 in range(n1)
+        for a2 in g2.adj_bits
+    ]
+    vertices = list(iter_product(g1.vertices, g2.vertices))
+    return Graph(spec=ProductSpec(g1.spec, g2.spec), vertices=vertices, adj_bits=adj_bits)
 
 
 def explicit_graph(vertices: Iterable, edges: Iterable) -> Graph:
@@ -383,14 +402,14 @@ def product_maximal_sets_bits(mis1: list[int], mis2: list[int], n2: int) -> list
     """Maximal independent sets of an or-product, from those of its factors.
 
     A maximal set of the product is exactly a product of maximal sets; the
-    result uses the product's canonical indexing i1 * n2 + i2.
+    result uses the product's canonical indexing `product_index`.
     """
     out = []
     for a in mis1:
         for b in mis2:
             mask = 0
             for i1 in bit_indices(a):
-                mask |= b << (i1 * n2)
+                mask |= b << product_index(i1, 0, n2)
             out.append(mask)
     return sorted(out)
 

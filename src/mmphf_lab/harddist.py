@@ -21,6 +21,7 @@ never materialized.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping, Union
 
 from scipy.stats import beta as _beta
@@ -324,31 +325,16 @@ def adversary_bound_exact(
     if count > caps.max_label_functions:
         raise EnumerationCapExceeded("max_label_functions", count, caps.max_label_functions)
 
-    by_tuple = [(t, p) for t, p in dist.outcomes if p > 0]
-    pos = {e: idx for idx, e in enumerate(elems)}
     best = Fraction(-1)
-    best_assign: tuple = ()
-
-    def rec(idx: int, assign: list):
-        nonlocal best, best_assign
-        if idx == len(elems):
-            total = Fraction(0)
-            for t, p in by_tuple:
-                if all(assign[pos[e]] == i + 1 for i, e in enumerate(t)):
-                    total += p
-            if total > best:
-                best = total
-                best_assign = tuple(assign)
-            return
-        for v in range(1, m + 1):
-            assign.append(v)
-            rec(idx + 1, assign)
-            assign.pop()
-
-    rec(0, [])
+    best_f: dict = {}
+    # product() runs in lexicographic order, so the argmax is the first maximum
+    for values in product(range(1, m + 1), repeat=len(elems)):
+        f = dict(zip(elems, values))
+        total = success_probability(dist, f)
+        if total > best:
+            best, best_f = total, f
     f = {e: 1 for e in range(1, dist.universe_size + 1)}
-    for e, v in zip(elems, best_assign):
-        f[e] = v
+    f.update(best_f)
     return best, f
 
 

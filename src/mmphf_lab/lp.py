@@ -185,7 +185,7 @@ class _RevisedSimplex:
             for i in range(n):
                 if self.binv[i][r] != ZERO:
                     d[i] += self.binv[i][r] * a
-        self._ratio_d = d
+        self._direction = d
         best = None
         best_ratio = None
         for i in range(n):
@@ -197,11 +197,10 @@ class _RevisedSimplex:
                     best = i
         if best is None:
             raise RuntimeError("covering LP unbounded; this cannot happen")
-        self._direction = d
         return best
 
     def _lex_less(self, i, k):
-        di, dk = self._ratio_d[i], self._ratio_d[k]
+        di, dk = self._direction[i], self._direction[k]
         bi, bk = self.binv[i], self.binv[k]
         for r in range(self.n):
             lhs = bi[r] * dk

@@ -290,24 +290,34 @@ class TestCsvRowsFromRecords:
 class TestIoErrors:
     """Unreadable inputs and unwritable outputs exit 2 with one stderr line."""
 
-    @pytest.fixture
-    def empty_dist(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text('{"outcomes": []}')
-        return str(path)
-
     @pytest.mark.parametrize(
-        "argv",
+        "argv, dist_text",
         [
-            ["chi", "--graph", "shift", "--n", "2", "--u", "4", "--out", "{missing}/x.json"],
-            ["mmphf-verify", "--scheme", "rank-map", "--keys-file", "{missing}"],
-            ["adversary", "--dist-file", "{missing}"],
-            ["adversary", "--dist-file", "{empty}"],
+            (
+                ["chi", "--graph", "shift", "--n", "2", "--u", "4", "--out", "{missing}/x.json"],
+                None,
+            ),
+            (["mmphf-verify", "--scheme", "rank-map", "--keys-file", "{missing}"], None),
+            (["adversary", "--dist-file", "{missing}"], None),
+            (["adversary", "--dist-file", "{dist}"], '{"outcomes": []}'),
+            (["adversary", "--dist-file", "{dist}"], '{"m": 2}'),
+            (["adversary", "--dist-file", "{dist}"], "[1, 2]"),
+            (
+                ["adversary", "--dist-file", "{dist}"],
+                '{"outcomes": [[[1, 2], 0.5], [[2, 3], 0.5]]}',
+            ),
+            (["adversary", "--dist-file", "{dist}"], '{"outcomes": [[1, "1/1"]]}'),
         ],
-        ids=["out", "keys-file", "dist-file", "empty-dist"],
+        ids=[
+            "out", "keys-file", "dist-file", "empty-dist",
+            "dist-no-outcomes", "dist-list", "dist-float-prob", "dist-int-tuple",
+        ],
     )
-    def test_exit_2(self, capsys, tmp_path, empty_dist, argv):
-        argv = [a.format(missing=tmp_path / "missing", empty=empty_dist) for a in argv]
+    def test_exit_2(self, capsys, tmp_path, argv, dist_text):
+        dist = tmp_path / "dist.json"
+        if dist_text is not None:
+            dist.write_text(dist_text)
+        argv = [a.format(missing=tmp_path / "missing", dist=dist) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("mmphf-lab: error: ") and err.count("\n") == 1

@@ -169,6 +169,20 @@ class TestOneVerifier:
         with pytest.raises(RuntimeError, match="dual"):
             self.solve_with(monkeypatch, cycle(5), raise_dual)
 
+    def test_dependent_product_set_is_rejected(self, monkeypatch):
+        # the widened set still covers every vertex with its weight, but it
+        # contains edges of K2 v K2
+        real = coloring.compose_product_primal
+
+        def widened(x1, x2, n1, n2):
+            x = real(x1, x2, n1, n2)
+            x.sets[0] = frozenset(range(n1 * n2))
+            return x
+
+        monkeypatch.setattr(coloring, "compose_product_primal", widened)
+        with pytest.raises(RuntimeError, match="not independent"):
+            product_multiplicativity_certificates(complete(2), complete(2))
+
     def test_witness_with_more_colors_than_chi_is_rejected(self, monkeypatch):
         monkeypatch.setattr(coloring, "chromatic_number", lambda g, caps: (3, [0, 1, 2, 3, 4]))
         with pytest.raises(RuntimeError, match="range\\(chi\\)"):
@@ -218,12 +232,12 @@ class TestProductCertificates:
         r2 = fractional_chromatic_number(complete(2), include_chi=False)
         x = compose_product_primal(r1.primal, r2.primal, 3, 2)
         assert x.value == 6
-        y = compose_product_dual(r1.dual, r2.dual)
+        y = compose_product_dual(r1.dual, r2.dual, 2)
         assert y.value == 6
         # K3 v K2 is K6: composed certificates are feasible there
         g = build_graph(product(_k_spec(3), _k_spec(2)))
         assert verify_primal(g.n, x)
-        assert verify_dual(maximal_sets_bits(g), y.flatten(2))
+        assert verify_dual(maximal_sets_bits(g), y)
 
     def test_unit_coloring_of_edgeless_product(self):
         r1 = fractional_chromatic_number(explicit_graph(range(2), []), include_chi=False)
@@ -242,7 +256,7 @@ class TestProductCertificates:
     def test_single_unit_vertex_dual(self):
         y1 = DualWitness(weights={0: Fraction(1)})
         r2 = fractional_chromatic_number(cycle(5), include_chi=False)
-        y = compose_product_dual(y1, r2.dual).flatten(5)
+        y = compose_product_dual(y1, r2.dual, 5)
         g = build_graph(product(ExplicitSpec((0, 1), ((0, 1),)), _c5_spec()))
         assert verify_dual(maximal_sets_bits(g), y)
 

@@ -117,7 +117,33 @@ class TestBuildGraph:
                 assert adjacent(conflict, shift.vertices[i], shift.vertices[j])
 
 
+@st.composite
+def explicit_specs(draw, labels):
+    n = draw(st.integers(1, 5))
+    vertices = tuple(f"{labels}{i}" for i in range(n))
+    pairs = [(vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ExplicitSpec(vertices, tuple(edges))
+
+
 class TestProduct:
+    @given(explicit_specs("a"), explicit_specs("b"))
+    @settings(max_examples=60, deadline=None)
+    def test_or_rule(self, a, b):
+        def edge(spec, x, y):
+            return (x, y) in spec.edges or (y, x) in spec.edges
+
+        verts = [(x, y) for x in a.vertices for y in b.vertices]
+        n = len(verts)
+        adj = [
+            [i != j and (edge(a, v[0], w[0]) or edge(b, v[1], w[1])) for j, w in enumerate(verts)]
+            for i, v in enumerate(verts)
+        ]
+        g = build_graph(product(a, b))
+        assert g.vertices == verts
+        assert g.edges == [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i][j]]
+        assert g.adj_bits == [sum(1 << j for j in range(n) if adj[i][j]) for i in range(n)]
+
     def test_k3_k2_is_complete(self):
         g = build_graph(product(k_spec(3), k_spec(2)))
         assert g.n == 6
@@ -252,6 +278,10 @@ class TestExplicit:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             ExplicitSpec((1, 2), ((1, 1),))
+
+    def test_reversed_and_duplicated_edges(self):
+        g = explicit_graph(range(4), [(2, 0), (0, 2), (3, 1), (1, 0), (1, 0)])
+        assert g.edges == [(0, 1), (0, 2), (1, 3)]
 
     def test_explicit_graph_builder(self):
         g = explicit_graph("abc", [("a", "b")])
