@@ -3,10 +3,14 @@
 Every exhaustive enumeration in the package (graph vertices, label
 functions, distribution outcomes) is guarded by a cap from this module.
 The true parameters of the constructions are astronomically large and
-must be rejected loudly rather than truncated.
+must be rejected loudly rather than truncated: `EnumerationCaps.check`
+is the one place that compares a required count with its cap and raises
+`EnumerationCapExceeded` naming the cap.
 """
 
 from dataclasses import dataclass
+
+from .errors import EnumerationCapExceeded
 
 
 @dataclass(frozen=True)
@@ -19,6 +23,12 @@ class EnumerationCaps:
         for name in ("max_vertices", "max_label_functions", "max_outcomes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+
+    def check(self, name: str, required: int) -> None:
+        """Raise EnumerationCapExceeded if required exceeds the cap called name."""
+        limit = getattr(self, name)
+        if required > limit:
+            raise EnumerationCapExceeded(name, required, limit)
 
 
 DEFAULT_CAPS = EnumerationCaps()

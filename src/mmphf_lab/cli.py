@@ -19,7 +19,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import product
 
 from . import __version__, coloring, graphs, harddist, mmphf, windowtree
 from .caps import DEFAULT_CAPS, EnumerationCaps
@@ -422,26 +421,9 @@ def _sx_flags(sp):
 
 
 def _sx_roundtrip(args):
-    records = []
-    for d in range(1, args.max_d + 1):
-        payloads = set()
-        max_bits = 0
-        ok = True
-        for bits in product((0, 1), repeat=d):
-            idx = mmphf.build(args.scheme, mmphf.encode_bitstring(bits), seed=args.seed)
-            payloads.add(idx.payload)
-            max_bits = max(max_bits, idx.size_bits)
-            if mmphf.decode_bitstring(idx, d) != bits:
-                ok = False
-        records.append(
-            {
-                "d": d,
-                "strings": 1 << d,
-                "distinct_payloads": len(payloads),
-                "max_payload_bits": max_bits,
-                "ok": ok and len(payloads) == 1 << d and max_bits >= d,
-            }
-        )
+    records = [
+        mmphf.bitstring_roundtrip(args.scheme, d, args.seed) for d in range(1, args.max_d + 1)
+    ]
     ok_all = all(rec["ok"] for rec in records)
     return {"scheme": args.scheme, "rounds": records, "ok": ok_all}, records, ok_all
 

@@ -28,9 +28,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
-from .errors import EnumerationCapExceeded
 from .graphs import Graph, bit_indices, bron_kerbosch_maximal_sets, or_product
-from .graphs import product_index, product_maximal_sets_bits
+from .graphs import product_index, product_maximal_sets_bits, product_set
 from .lp import solve_covering_lp
 from .serialize import frac_str
 
@@ -42,7 +41,7 @@ ONE = Fraction(1)
 class FractionalColoring:
     """Nonnegative weights on independent sets covering every vertex >= 1."""
 
-    sets: list  # list of frozenset[int] (vertex indices)
+    sets: list  # list of int vertex bitmasks
     weights: list  # list of Fraction, aligned with sets
 
     @property
@@ -51,7 +50,7 @@ class FractionalColoring:
 
     def to_json_dict(self) -> dict:
         return {
-            "sets": [sorted(s) for s in self.sets],
+            "sets": [bit_indices(s) for s in self.sets],
             "weights": [frac_str(w) for w in self.weights],
             "value": frac_str(self.value),
         }
@@ -237,8 +236,7 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
     """
     if graph.n == 0:
         raise ValueError("empty graph has no chromatic number")
-    if graph.n > caps.max_vertices:
-        raise EnumerationCapExceeded("max_vertices", graph.n, caps.max_vertices)
+    caps.check("max_vertices", graph.n)
     if not graph.edges:
         return 1, [0] * graph.n
     lo = max(2, greedy_clique_lower_bound(graph))
@@ -262,8 +260,7 @@ def is_proper_coloring(graph: Graph, colors: Iterable) -> bool:
 
 def maximal_sets_bits(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> list:
     """Maximal independent sets of an explicit graph, as vertex bitmasks."""
-    if graph.n > caps.max_vertices:
-        raise EnumerationCapExceeded("max_vertices", graph.n, caps.max_vertices)
+    caps.check("max_vertices", graph.n)
     return bron_kerbosch_maximal_sets(graph.adj_bits)
 
 
@@ -282,8 +279,7 @@ def fractional_chromatic_number(
     mis = maximal_sets_bits(graph, caps)
     sol = solve_covering_lp(graph.n, mis)
     primal = FractionalColoring(
-        sets=[frozenset(bit_indices(mask)) for mask, _ in sol.primal],
-        weights=[w for _, w in sol.primal],
+        sets=[mask for mask, _ in sol.primal], weights=[w for _, w in sol.primal]
     )
     dual = DualWitness(weights={v: y for v, y in enumerate(sol.dual) if y != ZERO})
     report = ChiReport(chi_f=sol.value, primal=primal, dual=dual)
@@ -298,8 +294,7 @@ def _verify_report(graph: Graph, mis: list, report: ChiReport) -> None:
     if not verify_primal(graph.n, report.primal):
         raise RuntimeError("primal certificate infeasible; solver bug")
     for s in report.primal.sets:
-        mask = sum(1 << v for v in s)
-        if any(graph.adj_bits[v] & mask for v in s):
+        if any(graph.adj_bits[v] & s for v in bit_indices(s)):
             raise RuntimeError("primal set not independent; solver bug")
     if not verify_dual(mis, report.dual):
         raise RuntimeError("dual certificate infeasible; solver bug")
@@ -322,7 +317,7 @@ def verify_primal(num_vertices: int, primal: FractionalColoring) -> bool:
         return False
     cover = [ZERO] * num_vertices
     for s, w in zip(primal.sets, primal.weights):
-        for v in s:
+        for v in bit_indices(s):
             cover[v] += w
     return all(c >= ONE for c in cover)
 
@@ -336,11 +331,15 @@ def verify_dual(maximal_sets: list, dual: DualWitness) -> bool:
     """
     if any(w < 0 for w in dual.weights.values()):
         return False
-    for mask in maximal_sets:
-        s = sum((dual.weights.get(v, ZERO) for v in bit_indices(mask)), ZERO)
-        if s > ONE:
-            return False
-    return True
+    return _max_mass(maximal_sets, dual.weights) <= ONE
+
+
+def _max_mass(sets: list, weights: dict) -> Fraction:
+    """Largest total weight on any of the bitmask sets; 0 when there are none."""
+    return max(
+        (sum((weights.get(v, ZERO) for v in bit_indices(s)), ZERO) for s in sets),
+        default=ZERO,
+    )
 
 
 def evaluate_dual_witness(
@@ -356,10 +355,7 @@ def evaluate_dual_witness(
         raise ValueError(f"distribution must sum to 1, got {total}")
     if any(w < 0 for w in mu.values()):
         raise ValueError("distribution has negative mass")
-    best = ZERO
-    for mask in maximal_sets_bits(graph, caps):
-        mass = sum((mu.get(v, ZERO) for v in bit_indices(mask)), ZERO)
-        best = max(best, mass)
+    best = _max_mass(maximal_sets_bits(graph, caps), mu)
     if best == ZERO:
         raise RuntimeError("no maximal set carries mass; impossible for mu summing to 1")
     return ONE / best
@@ -380,7 +376,7 @@ def compose_product_primal(
     weights = []
     for s1, w1 in zip(x1.sets, x1.weights):
         for s2, w2 in zip(x2.sets, x2.weights):
-            sets.append(frozenset(product_index(a, b, n2) for a in s1 for b in s2))
+            sets.append(product_set(s1, s2, n2))
             weights.append(w1 * w2)
     return FractionalColoring(sets=sets, weights=weights)
 

@@ -20,7 +20,10 @@ Maximal independent sets of a conflict graph are in bijection with label
 functions f mapping each universe element to a position in [m]: the set
 I(f) collects every vertex whose elements all sit at their labelled
 positions.  Both that route and a generic Bron-Kerbosch enumerator are
-provided so they can verify each other.
+provided so they can verify each other.  Label functions have their one
+home here: `label_getter`, the predicate `consistent` and the capped
+enumerator `iter_label_functions` also serve the hard distribution and
+the window trees.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -28,12 +31,13 @@ All values are immutable after construction and all operations are pure.
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product as iter_product
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
-from .errors import EnumerationCapExceeded, InvalidVertexError
+from .errors import InvalidVertexError
 
 Vertex = tuple
+LabelFn = Union[Mapping[int, int], Callable[[int], int]]
 
 
 @dataclass(frozen=True)
@@ -228,9 +232,7 @@ class Graph:
 
 def build_graph(spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     """Enumerate a spec into an explicit graph, respecting the vertex cap."""
-    count = vertex_count(spec)
-    if count > caps.max_vertices:
-        raise EnumerationCapExceeded("max_vertices", count, caps.max_vertices)
+    caps.check("max_vertices", vertex_count(spec))
     if isinstance(spec, ProductSpec):
         return or_product(build_graph(spec.left, caps), build_graph(spec.right, caps))
     vertices = list(iter_vertices(spec))
@@ -274,34 +276,37 @@ def explicit_graph(vertices: Iterable, edges: Iterable) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def label_getter(f: LabelFn) -> Callable[[int], int]:
+    """f as an element-wise callable; a mapping is read by key."""
+    return f if callable(f) else f.__getitem__
+
+
+def consistent(get: Callable[[int], int], t: tuple) -> bool:
+    """True iff every t_i carries label i (1-based), i.e. t lies in I(f)."""
+    return all(get(e) == i for i, e in enumerate(t, 1))
+
+
 def iter_label_functions(
-    spec: ConflictSpec, caps: EnumerationCaps = DEFAULT_CAPS
+    elements: Iterable[int], m: int, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> Iterator[dict]:
-    """All total maps from the spec's universe to [m], as dicts."""
-    elems = list(spec.universe)
-    total = spec.m ** len(elems)
-    if total > caps.max_label_functions:
-        raise EnumerationCapExceeded("max_label_functions", total, caps.max_label_functions)
-    for values in iter_product(range(1, spec.m + 1), repeat=len(elems)):
-        yield dict(zip(elems, values))
+    """All maps from the elements to [m], as dicts, in lexicographic order."""
+    elements = list(elements)
+    caps.check("max_label_functions", m ** len(elements))
+    for values in iter_product(range(1, m + 1), repeat=len(elements)):
+        yield dict(zip(elements, values))
 
 
 def independent_set_of(
-    f: Mapping[int, int], spec: ConflictSpec, caps: EnumerationCaps = DEFAULT_CAPS
+    f: LabelFn, spec: ConflictSpec, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> frozenset:
     """I(f): all vertices v with f(v_i) = i for every position i (1-based).
 
     Always an independent set: two members sharing an element agree on its
     position, so no conflict edge can join them.
     """
-    count = vertex_count(spec)
-    if count > caps.max_vertices:
-        raise EnumerationCapExceeded("max_vertices", count, caps.max_vertices)
-    out = []
-    for v in iter_vertices(spec):
-        if all(f[e] == i + 1 for i, e in enumerate(v)):
-            out.append(v)
-    return frozenset(out)
+    caps.check("max_vertices", vertex_count(spec))
+    get = label_getter(f)
+    return frozenset(v for v in iter_vertices(spec) if consistent(get, v))
 
 
 def maximal_independent_sets(
@@ -316,7 +321,7 @@ def maximal_independent_sets(
         graph = build_graph(spec, caps)
         seen = set()
         out = []
-        for f in iter_label_functions(spec, caps):
+        for f in iter_label_functions(spec.universe, spec.m, caps):
             iset = independent_set_of(f, spec, caps)
             if iset and iset not in seen and _is_maximal(graph, iset):
                 seen.add(iset)
@@ -398,20 +403,21 @@ def is_independent_set(graph: Graph, members: Iterable) -> bool:
     return True
 
 
+def product_set(a: int, b: int, n2: int) -> int:
+    """The bitmask of I1 x I2 in the or-product's indexing `product_index`.
+
+    a and b are vertex bitmasks of the factors; n2 is the right factor's size.
+    """
+    # the blocks b << product_index(i1, 0, n2) are disjoint, so sum is or
+    return sum(b << product_index(i1, 0, n2) for i1 in bit_indices(a))
+
+
 def product_maximal_sets_bits(mis1: list[int], mis2: list[int], n2: int) -> list[int]:
     """Maximal independent sets of an or-product, from those of its factors.
 
-    A maximal set of the product is exactly a product of maximal sets; the
-    result uses the product's canonical indexing `product_index`.
+    A maximal set of the product is exactly a product of maximal sets.
     """
-    out = []
-    for a in mis1:
-        for b in mis2:
-            mask = 0
-            for i1 in bit_indices(a):
-                mask |= b << product_index(i1, 0, n2)
-            out.append(mask)
-    return sorted(out)
+    return sorted(product_set(a, b, n2) for a in mis1 for b in mis2)
 
 
 # ---------------------------------------------------------------------------

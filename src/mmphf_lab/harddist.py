@@ -21,23 +21,13 @@ never materialized.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Mapping, Union
 
 from scipy.stats import beta as _beta
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
-from .errors import EnumerationCapExceeded
+from .graphs import LabelFn, consistent, iter_label_functions, label_getter
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
 from .serialize import frac_str, int_str
-
-LabelFn = Union[Mapping[int, int], Callable[[int], int]]
-
-
-def _label_getter(f: LabelFn) -> Callable[[int], int]:
-    if callable(f):
-        return f
-    return f.__getitem__
 
 
 @dataclass(frozen=True)
@@ -265,9 +255,7 @@ def enumerate_distribution(
     params: SamplerParams, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> ExplicitTupleDistribution:
     """Exact law of (X_1, ..., X_m) by exhausting every (Y, Z) outcome."""
-    total = _outcome_count(params, 1, params.s0)
-    if total > caps.max_outcomes:
-        raise EnumerationCapExceeded("max_outcomes", total, caps.max_outcomes)
+    caps.check("max_outcomes", _outcome_count(params, 1, params.s0))
     acc: dict = {}
     max_x = 0
 
@@ -302,12 +290,8 @@ def _outcome_count(params: SamplerParams, i: int, s: int) -> int:
 
 def success_probability(dist: ExplicitTupleDistribution, f: LabelFn) -> Fraction:
     """Exact mass of tuples whose every element carries its own index."""
-    get = _label_getter(f)
-    total = Fraction(0)
-    for t, p in dist.outcomes:
-        if all(get(e) == i + 1 for i, e in enumerate(t)):
-            total += p
-    return total
+    get = label_getter(f)
+    return sum((p for t, p in dist.outcomes if consistent(get, t)), Fraction(0))
 
 
 def adversary_bound_exact(
@@ -319,17 +303,10 @@ def adversary_bound_exact(
     outside every support tuple cannot matter and are pinned to index 1).
     The argmax is returned as a total dict on [1, universe_size].
     """
-    elems = dist.support_elements()
-    m = dist.m
-    count = m ** len(elems)
-    if count > caps.max_label_functions:
-        raise EnumerationCapExceeded("max_label_functions", count, caps.max_label_functions)
-
     best = Fraction(-1)
     best_f: dict = {}
-    # product() runs in lexicographic order, so the argmax is the first maximum
-    for values in product(range(1, m + 1), repeat=len(elems)):
-        f = dict(zip(elems, values))
+    # the enumeration is lexicographic, so the argmax is the first maximum
+    for f in iter_label_functions(dist.support_elements(), dist.m, caps):
         total = success_probability(dist, f)
         if total > best:
             best, best_f = total, f
@@ -394,11 +371,11 @@ def monte_carlo_success(
     an oracle over a universe far too large to materialize.  Trial t uses
     the derived child seed of (seed, t); merging is exact counting.
     """
-    get = _label_getter(f)
+    get = label_getter(f)
     successes = 0
     for t in range(trials):
         trace = sample(params, derive_seed(seed, t))
-        if all(get(x) == i + 1 for i, x in enumerate(trace.xs)):
+        if consistent(get, trace.xs):
             successes += 1
     lo, hi = binomial_ci(successes, trials, confidence)
     return MonteCarloReport(

@@ -26,6 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
@@ -318,6 +319,31 @@ def decode_bitstring(index: MmphfIndex, d: int) -> tuple:
             )
         bits.append(b)
     return tuple(bits)
+
+
+def bitstring_roundtrip(scheme: str, d: int, seed: int) -> dict:
+    """Round-trip all 2^d bit strings of length d through built indexes.
+
+    Returns {d, strings, distinct_payloads, max_payload_bits, ok}; ok holds
+    when every string decodes back, the payloads are pairwise distinct and
+    some payload takes at least d bits.
+    """
+    payloads = set()
+    max_bits = 0
+    ok = True
+    for bits in product((0, 1), repeat=d):
+        idx = build(scheme, encode_bitstring(bits), seed=seed)
+        payloads.add(idx.payload)
+        max_bits = max(max_bits, idx.size_bits)
+        if decode_bitstring(idx, d) != bits:
+            ok = False
+    return {
+        "d": d,
+        "strings": 1 << d,
+        "distinct_payloads": len(payloads),
+        "max_payload_bits": max_bits,
+        "ok": ok and len(payloads) == 1 << d and max_bits >= d,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,14 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
+    """Exact rational from "p/q" or an integer; a zero denominator is a ValueError."""
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
+        try:
+            return Fraction(int(p), int(q))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     return Fraction(int(s))
 
 

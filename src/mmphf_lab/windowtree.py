@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
-from .errors import EnumerationCapExceeded
-from .harddist import LabelFn, SamplerParams, _label_getter, sample as sample_trace
+from .graphs import LabelFn, label_getter
+from .harddist import SamplerParams, sample as sample_trace
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
 from .serialize import frac_str
 
@@ -103,8 +103,7 @@ class WindowTree:
 
 def build_tree(spec: WindowTreeSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> WindowTree:
     tree = WindowTree(spec)
-    if tree.node_count > caps.max_vertices:
-        raise EnumerationCapExceeded("max_vertices", tree.node_count, caps.max_vertices)
+    caps.check("max_vertices", tree.node_count)
     return tree
 
 
@@ -113,7 +112,7 @@ def density(window: tuple, f: LabelFn, index: int) -> Fraction:
     start, length = window
     if length < 1:
         raise ValueError("empty window has no density")
-    get = _label_getter(f)
+    get = label_getter(f)
     hits = sum(1 for e in range(start, start + length) if get(e) == index)
     return Fraction(hits, length)
 
@@ -176,7 +175,7 @@ def prune(tree: WindowTree, f: LabelFn, index: int, tau) -> PruneResult:
     tau = Fraction(tau)
     if not 0 < tau < 1:
         raise ValueError("tau must lie strictly between 0 and 1")
-    get = _label_getter(f)
+    get = label_getter(f)
     start, length = tree.window(0, 0)
     prefix = [0] * (length + 1)
     for off in range(length):
@@ -338,8 +337,7 @@ def final_window_experiment(
         raise ValueError(f"index {index} outside [1, {params.m}]")
     tau = Fraction(tau)
     threshold = Fraction(2, params.m) if threshold is None else Fraction(threshold)
-    if (1 << params.s0) > caps.max_vertices:
-        raise EnumerationCapExceeded("max_vertices", 1 << params.s0, caps.max_vertices)
+    caps.check("max_vertices", 1 << params.s0)
 
     conditioned = 0
     low = 0

@@ -8,7 +8,7 @@ confidence intervals.
 
 import time
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 import pytest
 from scipy.stats import chisquare
@@ -48,10 +48,8 @@ from mmphf_lab.harddist import (
 from mmphf_lab.mmphf import (
     SCHEME_BROKEN,
     SCHEMES,
+    bitstring_roundtrip,
     bound_report,
-    build,
-    decode_bitstring,
-    encode_bitstring,
     extract_coloring,
     parameterize,
 )
@@ -142,7 +140,7 @@ def test_03_label_function_bijection():
     for (m, M) in settings:
         spec = ConflictSpec(m, M)
         g = build_graph(spec)
-        for f in iter_label_functions(spec):
+        for f in iter_label_functions(spec.universe, m):
             assert is_independent_set(g, independent_set_of(f, spec))
         via_labels = set(maximal_independent_sets(spec))
         via_generic = {
@@ -298,16 +296,12 @@ def test_10_bitstring_encoding():
     total = 0
     for scheme in SCHEMES:
         for d in range(1, 11):
-            payloads = set()
-            max_bits = 0
-            for bits in iproduct((0, 1), repeat=d):
-                idx = build(scheme, encode_bitstring(bits), seed=23)
-                assert decode_bitstring(idx, d) == bits
-                payloads.add(idx.payload)
-                max_bits = max(max_bits, idx.size_bits)
-                total += 1
-            assert len(payloads) == 1 << d  # index distinguishes all inputs
-            assert max_bits >= d  # so some payload needs >= d bits
+            rec = bitstring_roundtrip(scheme, d, seed=23)
+            # index distinguishes all inputs
+            assert rec["distinct_payloads"] == rec["strings"] == 1 << d
+            assert rec["max_payload_bits"] >= d  # so some payload needs >= d bits
+            assert rec["ok"]  # every string decodes back
+            total += rec["strings"]
     assert total == 2 * 2046
 
 

@@ -138,6 +138,12 @@ class TestEnumerateAndAdversary:
         assert code == 0
         assert data["max_probability"] == "1/2"
 
+    def test_adversary_label_function_cap(self, capsys):
+        code, _, err = run_cli(
+            capsys, "adversary", "--tuples", "1,2=1/2;3,4=1/2", "--max-label-functions", "3"
+        )
+        assert code == 2 and "max_label_functions" in err
+
     def test_adversary_from_enumerate_file(self, capsys, tmp_path):
         dist_file = tmp_path / "dist.json"
         run_cli(
@@ -288,7 +294,7 @@ class TestCsvRowsFromRecords:
 
 
 class TestIoErrors:
-    """Unreadable inputs and unwritable outputs exit 2 with one stderr line."""
+    """Unreadable or malformed inputs and unwritable outputs exit 2 with one stderr line."""
 
     @pytest.mark.parametrize(
         "argv, dist_text",
@@ -307,10 +313,18 @@ class TestIoErrors:
                 '{"outcomes": [[[1, 2], 0.5], [[2, 3], 0.5]]}',
             ),
             (["adversary", "--dist-file", "{dist}"], '{"outcomes": [[1, "1/1"]]}'),
+            (["adversary", "--tuples", "1,2=1/0"], None),
+            (["adversary", "--dist-file", "{dist}"], '{"outcomes": [[[1, 2], "1/0"]]}'),
+            (
+                ["prune", "--arity", "2", "--depth", "1", "--labels", "1,2", "--index", "1",
+                 "--tau", "1/0"],
+                None,
+            ),
         ],
         ids=[
             "out", "keys-file", "dist-file", "empty-dist",
             "dist-no-outcomes", "dist-list", "dist-float-prob", "dist-int-tuple",
+            "tuples-zero-denominator", "dist-zero-denominator", "tau-zero-denominator",
         ],
     )
     def test_exit_2(self, capsys, tmp_path, argv, dist_text):

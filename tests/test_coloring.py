@@ -22,6 +22,7 @@ from mmphf_lab.coloring import (
 from mmphf_lab.graphs import (
     ConflictSpec,
     ExplicitSpec,
+    bit_indices,
     build_graph,
     explicit_graph,
     product,
@@ -115,7 +116,7 @@ class TestFractionalChromaticNumber:
             assert rep.primal.value == rep.dual.value == rep.chi_f
             assert rep.chi_f <= rep.chi
             for s in rep.primal.sets:
-                members = sorted(s)
+                members = bit_indices(s)
                 for a in range(len(members)):
                     for b in range(a + 1, len(members)):
                         assert not g.has_edge(members[a], members[b])
@@ -176,7 +177,7 @@ class TestOneVerifier:
 
         def widened(x1, x2, n1, n2):
             x = real(x1, x2, n1, n2)
-            x.sets[0] = frozenset(range(n1 * n2))
+            x.sets[0] = (1 << n1 * n2) - 1
             return x
 
         monkeypatch.setattr(coloring, "compose_product_primal", widened)
@@ -287,7 +288,7 @@ class TestProductCertificates:
     def test_infeasible_input_rejected(self):
         from mmphf_lab.coloring import FractionalColoring
 
-        bad = FractionalColoring(sets=[frozenset({0})], weights=[Fraction(1, 2)])
+        bad = FractionalColoring(sets=[0b1], weights=[Fraction(1, 2)])
         good = fractional_chromatic_number(complete(2), include_chi=False).primal
         with pytest.raises(ValueError):
             compose_product_primal(bad, good, 1, 2)

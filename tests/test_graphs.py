@@ -226,12 +226,16 @@ class TestLabelFunctions:
     def test_every_label_set_is_independent(self, m, M):
         spec = ConflictSpec(m, M)
         g = build_graph(spec)
-        for f in iter_label_functions(spec):
+        for f in iter_label_functions(spec.universe, m):
             assert is_independent_set(g, independent_set_of(f, spec))
+
+    def test_callable_label_function(self):
+        iset = independent_set_of(lambda e: 1 if e <= 2 else 2, ConflictSpec(2, 4))
+        assert iset == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
 
     def test_label_function_cap(self):
         with pytest.raises(EnumerationCapExceeded) as exc:
-            list(iter_label_functions(ConflictSpec(2, 30)))
+            list(iter_label_functions(ConflictSpec(2, 30).universe, 2))
         assert exc.value.cap_name == "max_label_functions"
 
 
@@ -311,3 +315,12 @@ class TestValidation:
     def test_caps_validation(self):
         with pytest.raises(ValueError):
             EnumerationCaps(max_vertices=0)
+
+    def test_caps_check(self):
+        caps = EnumerationCaps(max_outcomes=7)
+        caps.check("max_outcomes", 7)
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            caps.check("max_outcomes", 8)
+        assert (exc.value.cap_name, exc.value.required, exc.value.limit) == ("max_outcomes", 8, 7)
+        with pytest.raises(AttributeError):
+            caps.check("max_bogus", 1)

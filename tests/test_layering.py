@@ -1,0 +1,63 @@
+"""Layering rules of the package, checked on its source.
+
+* Only `caps.py` constructs `EnumerationCapExceeded` (in
+  `EnumerationCaps.check`), so a reported cap name is always a real
+  `EnumerationCaps` field.
+* No module imports a single-underscore name from a sibling module: what
+  one module needs from another is public there.  Dunders such as
+  `__version__` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmphf_lab"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def layering_violations(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and path.name != "caps.py":
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "EnumerationCapExceeded":
+                out.append(f"{path.name}:{node.lineno}: constructs EnumerationCapExceeded")
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "mmphf_lab"
+        ):
+            out.extend(
+                f"{path.name}:{node.lineno}: imports {alias.name} from a sibling module"
+                for alias in node.names
+                if _is_private(alias.name)
+            )
+    return out
+
+
+def test_package_layering():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files, f"no modules under {PACKAGE}"
+    assert [v for path in files for v in layering_violations(path)] == []
+
+
+def test_checker_sees_both_rules(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from . import __version__\n"
+        "from .harddist import _label_getter, sample\n"
+        "from .errors import EnumerationCapExceeded\n"
+        "from . import errors\n"
+        "def f(n):\n"
+        "    raise EnumerationCapExceeded('max_vertices', n, 1)\n"
+        "def g(n):\n"
+        "    raise errors.EnumerationCapExceeded('max_vertices', n, 1)\n"
+    )
+    assert layering_violations(mod) == [
+        "mod.py:2: imports _label_getter from a sibling module",
+        "mod.py:6: constructs EnumerationCapExceeded",
+        "mod.py:8: constructs EnumerationCapExceeded",
+    ]
