@@ -312,8 +312,11 @@ def _verify_report(graph: Graph, mis: list, report: ChiReport) -> None:
 
 
 def verify_primal(num_vertices: int, primal: FractionalColoring) -> bool:
-    """Feasibility of a fractional coloring: cover >= 1 at every vertex."""
-    if any(w < 0 for w in primal.weights):
+    """Feasibility of a fractional coloring: cover >= 1 at every vertex.
+
+    A set naming a vertex outside [num_vertices] makes the coloring infeasible.
+    """
+    if any(w < 0 for w in primal.weights) or any(s >> num_vertices for s in primal.sets):
         return False
     cover = [ZERO] * num_vertices
     for s, w in zip(primal.sets, primal.weights):

@@ -22,8 +22,6 @@ never materialized.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.stats import beta as _beta
-
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, consistent, iter_label_functions, label_getter
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
@@ -345,15 +343,21 @@ class MonteCarloReport:
 
 
 def binomial_ci(successes: int, trials: int, confidence: float = 0.99) -> tuple:
-    """Exact (Clopper-Pearson) binomial confidence interval."""
+    """Exact (Clopper-Pearson) binomial confidence interval.
+
+    scipy is imported here, its one use, not at module level: loading it
+    would otherwise dominate the start-up of every fresh CLI process.
+    """
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
+    from scipy.stats import beta
+
     alpha = 1.0 - confidence
-    lo = 0.0 if successes == 0 else float(_beta.ppf(alpha / 2, successes, trials - successes + 1))
+    lo = 0.0 if successes == 0 else float(beta.ppf(alpha / 2, successes, trials - successes + 1))
     hi = (
         1.0
         if successes == trials
-        else float(_beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        else float(beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
     )
     return lo, hi
 

@@ -254,12 +254,14 @@ def _try_place(keys: KeySet, seed: int, attempt: int):
     used = [False] * n
     slots = [0] * n
     displacements = [0] * n
-    limit = 4 * n * n
     for b in order:
         if not buckets[b]:
             continue
-        for d in range(limit):
-            positions = [(hash64(e, salt, salt=2) + d) % n for e, _ in buckets[b]]
+        homes = [hash64(e, salt, salt=2) % n for e, _ in buckets[b]]
+        # The slot (home + d) mod n has period n in d: if any displacement
+        # fits, the first that fits is below n.
+        for d in range(n):
+            positions = [(h + d) % n for h in homes]
             if len(set(positions)) == len(positions) and not any(used[p] for p in positions):
                 displacements[b] = d
                 for (e, rank), p in zip(buckets[b], positions):

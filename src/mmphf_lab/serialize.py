@@ -6,8 +6,11 @@ are the only sanctioned floats and always travel with their confidence
 interval.
 """
 
-import sys
+import decimal
 from fractions import Fraction
+
+# Integers of at most this many bits go to Decimal(n) whole; wider ones are split.
+_LEAF_BITS = 2048
 
 
 def frac_str(x) -> str:
@@ -28,20 +31,33 @@ def parse_frac(s: str) -> Fraction:
 
 
 def int_str(x: int) -> str:
-    """Decimal string of an arbitrary-precision integer.
+    """Decimal string of an arbitrary-precision integer, equal to `str(x)`.
 
-    Lifts the interpreter's int-to-str digit guard for this one conversion
-    when the value is too wide for it, and puts the caller's limit back
-    afterwards.  A limit of 0 already means unlimited.
+    Divide and conquer through `decimal`, the method CPython 3.12 ships as
+    `_pylong`: split x = hi * 2^h + lo at half its bit length and multiply
+    hi by a cached Decimal(2)^h, exactly, under `MAX_PREC`.  Up to
+    `_LEAF_BITS` bits `Decimal(n)` converts directly.  On Python 3.11
+    `str(int)` is quadratic; this is O(M(n) log n).  It never reads or
+    sets the interpreter's int-to-str digit limit.
     """
-    limit_fn = getattr(sys, "get_int_max_str_digits", None)
-    limit = limit_fn() if limit_fn is not None else 0
-    # digits ~= bits * log10(2); pad generously
-    need = int(x.bit_length() * 0.302) + 16
-    if limit == 0 or need <= limit:
-        return str(x)
-    sys.set_int_max_str_digits(need)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    D = decimal.Decimal
+    pow2 = {}
+
+    def power(h):
+        if h not in pow2:
+            pow2[h] = D(1 << h) if h <= _LEAF_BITS else power(h >> 1) * power(h - (h >> 1))
+        return pow2[h]
+
+    def convert(n, w):
+        if w <= _LEAF_BITS:
+            return D(n)
+        h = w >> 1
+        hi = n >> h
+        return convert(hi, w - h) * power(h) + convert(n - (hi << h), h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(x), x.bit_length()))
+    return "-" + digits if x < 0 else digits

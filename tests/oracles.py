@@ -4,13 +4,17 @@ These deliberately avoid the package's solver paths: the LP oracle
 enumerates basic solutions of the covering polytope by exact Gaussian
 elimination, adjacency is recounted pairwise from first principles, and
 maximal independent sets can be cross-checked through networkx cliques
-on the complement graph.
+on the complement graph; the rank-map placement loop is kept in its
+original form, with its 4·n² probe range, as the reference for the
+bounded one.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
+
+from mmphf_lab.rng import hash64
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -123,3 +127,32 @@ def networkx_maximal_independent_sets(num_vertices, edges):
     g.add_edges_from(edges)
     comp = nx.complement(g)
     return {frozenset(c) for c in nx.find_cliques(comp)} if num_vertices else set()
+
+
+def reference_try_place(keys, seed, attempt):
+    """Rank-map placement probing 4·n² displacements per bucket (`mmphf._try_place` before
+    its probe range was cut to n): (displacements, slots), or None when a bucket never fits."""
+    n = keys.n
+    salt = seed ^ (attempt * 0x9E3779B97F4A7C15)
+    buckets: list = [[] for _ in range(n)]
+    for rank, e in enumerate(keys.elements):
+        buckets[hash64(e, salt, salt=1) % n].append((e, rank))
+    order = sorted(range(n), key=lambda b: (-len(buckets[b]), b))
+    used = [False] * n
+    slots = [0] * n
+    displacements = [0] * n
+    limit = 4 * n * n
+    for b in order:
+        if not buckets[b]:
+            continue
+        for d in range(limit):
+            positions = [(hash64(e, salt, salt=2) + d) % n for e, _ in buckets[b]]
+            if len(set(positions)) == len(positions) and not any(used[p] for p in positions):
+                displacements[b] = d
+                for (e, rank), p in zip(buckets[b], positions):
+                    used[p] = True
+                    slots[p] = rank
+                break
+        else:
+            return None
+    return displacements, slots

@@ -1,12 +1,13 @@
 import csv
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from mmphf_lab import mmphf
+from mmphf_lab import mmphf, serialize
 from mmphf_lab.cli import main
 from mmphf_lab.serialize import int_str
 
@@ -249,6 +250,47 @@ class TestIntStrDigitLimit:
             sys.set_int_max_str_digits(saved)
 
 
+def _int_str_cases():
+    """Small values, powers of two around the leaf cut-off and its first two
+    split widths, powers of ten around the interpreter's digit limits, and one
+    random width per octave up to 2·10⁶ bits."""
+    leaf = serialize._LEAF_BITS
+    xs = [0, 1, -1, 7, -7]
+    for k in (leaf, 2 * leaf, 4 * leaf):
+        xs += [2**k - 1, 2**k, 2**k + 1, -(2**k + 1)]
+    xs += [10**k for k in (639, 640, 4300, 5000)]
+    rng = random.Random(0)
+    for octave in range(21):
+        width = rng.randrange(1 << octave, min(2 << octave, 2_000_001))
+        xs.append(rng.choice((1, -1)) * (rng.getrandbits(width) | 1 << (width - 1)))
+    return xs
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestIntStrMatchesStr:
+    @pytest.fixture(scope="class")
+    def expected(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return [(x, str(x)) for x in _int_str_cases()]
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("limit", [640, 1000, 0])
+    def test_equals_str_and_leaves_the_limit(self, expected, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for x, text in expected:
+                assert int_str(x) == text, x.bit_length()
+                assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 @pytest.mark.parametrize("command", sorted(SMALL_CALLS))
 def test_csv_header_matches_help(capsys, command):
     assert main([command, "--help"]) == 0
@@ -356,3 +398,13 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "mmphf-lab" in proc.stdout
+
+    def test_fresh_process_loads_neither_scipy_nor_numpy(self):
+        script = (
+            "import sys, mmphf_lab, mmphf_lab.cli\n"
+            "assert mmphf_lab.cli.main(['--version']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

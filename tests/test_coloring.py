@@ -293,6 +293,17 @@ class TestProductCertificates:
         with pytest.raises(ValueError):
             compose_product_primal(bad, good, 1, 2)
 
+    def test_set_outside_the_vertex_range_is_infeasible(self):
+        from mmphf_lab.coloring import FractionalColoring
+
+        assert not verify_primal(2, FractionalColoring(sets=[0b111], weights=[Fraction(1)]))
+
+    def test_too_small_factor_size_rejected(self):
+        k3 = fractional_chromatic_number(complete(3), include_chi=False).primal
+        k2 = fractional_chromatic_number(complete(2), include_chi=False).primal
+        with pytest.raises(ValueError, match="infeasible"):
+            compose_product_primal(k3, k2, 2, 2)
+
 
 def _k_spec(n):
     return ExplicitSpec(

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from mmphf_lab import mmphf
 from mmphf_lab.errors import CorruptIndexError, SchemeViolationError
 from mmphf_lab.graphs import ConflictSpec
 from mmphf_lab.mmphf import (
@@ -27,6 +29,8 @@ from mmphf_lab.mmphf import (
 )
 from mmphf_lab.rng import BitSampler
 from mmphf_lab.tower import Pow2, ScaledPow2, parse_tower, pow2
+
+from oracles import reference_try_place
 
 
 EXAMPLE = KeySet(elements=(2, 3, 6, 7), u=8)
@@ -106,6 +110,28 @@ class TestSchemes:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             build("nope", EXAMPLE)
+
+
+def _random_keys(seed, n, u):
+    return KeySet(tuple(sorted(random.Random(f"{seed}/{n}/{u}").sample(range(1, u + 1), n))), u)
+
+
+class TestRankMapPlacement:
+    def test_matches_the_four_n_squared_reference(self):
+        outcomes = []
+        for n in range(1, 17):
+            for seed in range(40):
+                keys = _random_keys(seed, n, 8 * n)
+                for attempt in range(4):
+                    placed = mmphf._try_place(keys, seed, attempt)
+                    assert placed == reference_try_place(keys, seed, attempt), (n, seed, attempt)
+                    outcomes.append(placed)
+        assert None in outcomes
+
+    def test_1024_keys_over_2_to_the_20(self):
+        keys = _random_keys(0, 1024, 1 << 20)
+        idx = build(SCHEME_RANK_MAP, keys, seed=0)
+        assert [query(idx, e) for e in keys.elements] == list(range(keys.n))
 
 
 class TestBitString:
