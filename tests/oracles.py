@@ -6,7 +6,8 @@ elimination, adjacency is recounted pairwise from first principles, and
 maximal independent sets can be cross-checked through networkx cliques
 on the complement graph; the rank-map placement loop is kept in its
 original form, with its 4·n² probe range, as the reference for the
-bounded one.
+bounded one; and the covering LP's revised simplex is kept in its
+`Fraction` form as the reference for the integer-preserving one.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from itertools import combinations
 
 import networkx as nx
 
+from mmphf_lab.graphs import bit_indices
 from mmphf_lab.rng import hash64
 
 ZERO = Fraction(0)
@@ -156,3 +158,196 @@ def reference_try_place(keys, seed, attempt):
         else:
             return None
     return displacements, slots
+
+
+def reference_covering_lp(num_rows, columns):
+    """The covering LP solved over a dense `Fraction` basis inverse (`lp._RevisedSimplex`
+    before it kept B^-1 as an integer matrix over one determinant), for valid inputs
+    with num_rows > 0: (value, primal, dual, pivots)."""
+    solver = _FractionRevisedSimplex(num_rows, columns)
+    solver.solve()
+    return (*solver.extract(), solver.pivots)
+
+
+class _FractionRevisedSimplex:
+    """Revised simplex on  A x - s = 1  with an explicit `Fraction` basis inverse.
+
+    Column ids: 0..nc-1 structural (cost 1, includes the greedy warm-start
+    pieces appended after the caller's columns), nc..nc+n-1 surplus
+    (cost 0, column -e_r).
+    """
+
+    def __init__(self, n: int, columns: list[int]):
+        self.n = n
+        self.col_rows = [bit_indices(mask) for mask in columns]
+        self._init_basis(columns)
+        self.nc = len(self.col_rows)
+        self.pivots = 0
+
+    def _init_basis(self, columns):
+        # Carve a disjoint cover out of the columns: each uncovered chunk of
+        # a column becomes a unit-cost piece.  Pieces partition the rows, so
+        # {pieces} + {surplus for non-representatives} is a feasible basis
+        # whose inverse is explicit.  Representatives are the smallest row of
+        # each piece, which keeps every basis row lexicographically positive.
+        n = self.n
+        full = (1 << n) - 1
+        uncovered = full
+        pieces = []
+        order = sorted(range(len(columns)), key=lambda j: (-(columns[j]).bit_count(), j))
+        for j in order:
+            piece = columns[j] & uncovered
+            if piece:
+                pieces.append(piece)
+                uncovered &= ~piece
+            if not uncovered:
+                break
+        piece_ids = []
+        for mask in pieces:
+            piece_ids.append(len(self.col_rows))
+            self.col_rows.append(bit_indices(mask))
+
+        self.basis = [0] * n
+        self.binv = [None] * n
+        self.xb = [ZERO] * n
+        nc_later = len(self.col_rows)
+        for pid, mask in zip(piece_ids, pieces):
+            rows = bit_indices(mask)
+            rep = rows[0]
+            brow = [ZERO] * n
+            brow[rep] = ONE
+            self.binv[rep] = brow
+            self.basis[rep] = pid
+            self.xb[rep] = ONE
+            for v in rows[1:]:
+                brow = [ZERO] * n
+                brow[rep] = ONE
+                brow[v] = -ONE
+                self.binv[v] = brow
+                self.basis[v] = nc_later + v  # surplus of row v
+                self.xb[v] = ZERO
+        self.in_basis = set(self.basis)
+
+    # -- column access ----------------------------------------------------
+
+    def _col_entries(self, j):
+        if j < self.nc:
+            return [(r, ONE) for r in self.col_rows[j]]
+        return [(j - self.nc, -ONE)]
+
+    def _reduced_cost(self, j, y):
+        if j < self.nc:
+            return ONE - sum(y[r] for r in self.col_rows[j])
+        return y[j - self.nc]
+
+    # -- simplex core ------------------------------------------------------
+
+    def solve(self):
+        while True:
+            y = self._prices()
+            enter = self._entering(y)
+            if enter is None:
+                return
+            leave_pos = self._ratio_test(enter)
+            self._pivot(enter, leave_pos)
+
+    def _prices(self):
+        n = self.n
+        y = [ZERO] * n
+        for i, j in enumerate(self.basis):
+            if j < self.nc:
+                row = self.binv[i]
+                for r in range(n):
+                    if row[r] != ZERO:
+                        y[r] += row[r]
+        return y
+
+    def _entering(self, y):
+        # float pre-scan ranks candidates; exactness comes from re-checking
+        yf = [float(v) for v in y]
+        cand = []
+        for j in range(self.nc):
+            if j not in self.in_basis:
+                rcf = 1.0 - sum(yf[r] for r in self.col_rows[j])
+                if rcf < 1e-9:
+                    cand.append((rcf, j))
+        for r in range(self.n):
+            j = self.nc + r
+            if j not in self.in_basis and yf[r] < 1e-9:
+                cand.append((yf[r], j))
+        cand.sort()
+        for _, j in cand[:16]:
+            if self._reduced_cost(j, y) < 0:
+                return j
+        # certify optimality (or catch a float miss) with a full exact pass
+        for j in range(self.nc + self.n):
+            if j not in self.in_basis and self._reduced_cost(j, y) < 0:
+                return j
+        return None
+
+    def _ratio_test(self, enter):
+        # lexicographic rule: minimize (xb_i, binv_i) / d_i among d_i > 0
+        n = self.n
+        d = [ZERO] * n
+        for (r, a) in self._col_entries(enter):
+            for i in range(n):
+                if self.binv[i][r] != ZERO:
+                    d[i] += self.binv[i][r] * a
+        self._direction = d
+        best = None
+        best_ratio = None
+        for i in range(n):
+            if d[i] > 0:
+                ratio = self.xb[i] / d[i]
+                if best is None or ratio < best_ratio:
+                    best, best_ratio = i, ratio
+                elif ratio == best_ratio and self._lex_less(i, best):
+                    best = i
+        if best is None:
+            raise RuntimeError("covering LP unbounded; this cannot happen")
+        return best
+
+    def _lex_less(self, i, k):
+        di, dk = self._direction[i], self._direction[k]
+        bi, bk = self.binv[i], self.binv[k]
+        for r in range(self.n):
+            lhs = bi[r] * dk
+            rhs = bk[r] * di
+            if lhs != rhs:
+                return lhs < rhs
+        raise RuntimeError("identical basis rows; basis is singular")
+
+    def _pivot(self, enter, pos):
+        n = self.n
+        d = self._direction
+        piv = d[pos]
+        self.binv[pos] = [v / piv for v in self.binv[pos]]
+        self.xb[pos] = self.xb[pos] / piv
+        prow = self.binv[pos]
+        pxb = self.xb[pos]
+        for i in range(n):
+            if i != pos and d[i] != ZERO:
+                f = d[i]
+                row = self.binv[i]
+                for r in range(n):
+                    if prow[r] != ZERO:
+                        row[r] -= f * prow[r]
+                self.xb[i] -= f * pxb
+        self.in_basis.discard(self.basis[pos])
+        self.basis[pos] = enter
+        self.in_basis.add(enter)
+        self.pivots += 1
+
+    # -- solution ----------------------------------------------------------
+
+    def extract(self):
+        primal = {}
+        for i, j in enumerate(self.basis):
+            if j < self.nc and self.xb[i] != ZERO:
+                mask = 0
+                for r in self.col_rows[j]:
+                    mask |= 1 << r
+                primal[mask] = primal.get(mask, ZERO) + self.xb[i]
+        y = self._prices()
+        value = sum((self.xb[i] for i, j in enumerate(self.basis) if j < self.nc), ZERO)
+        return value, sorted(primal.items()), y

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmphf_lab import coloring
 from mmphf_lab.coloring import (
@@ -30,7 +31,7 @@ from mmphf_lab.graphs import (
 )
 from mmphf_lab.rng import BitSampler
 
-from oracles import brute_lp_chi_f, is_acyclic, is_bipartite
+from oracles import brute_lp_chi_f, is_acyclic, is_bipartite, networkx_maximal_independent_sets
 
 
 def complete(n):
@@ -323,3 +324,26 @@ class TestProductMaximalSetsHelper:
         )
         direct = set(maximal_sets_bits(build_graph(product(_c5_spec(), _k_spec(3)))))
         assert composed == direct
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+@given(random_graphs())
+@settings(max_examples=60, deadline=None)
+def test_chi_f_matches_highs(graph):
+    """Exact chi_f against HiGHS over networkx's maximal independent sets."""
+    from scipy.optimize import linprog
+
+    n, edges = graph
+    sets = sorted(networkx_maximal_independent_sets(n, edges), key=sorted)
+    cover = [[-1 if v in s else 0 for s in sets] for v in range(n)]
+    res = linprog([1] * len(sets), A_ub=cover, b_ub=[-1] * n, bounds=(0, None), method="highs")
+    assert res.status == 0
+    chi_f = fractional_chromatic_number(explicit_graph(range(n), edges), include_chi=False).chi_f
+    assert abs(chi_f - res.fun) <= 1e-9

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmphf_lab.coloring import maximal_sets_bits
+from mmphf_lab.graphs import ConflictSpec, ExplicitSpec, ShiftSpec, build_graph, product
 from mmphf_lab.lp import solve_covering_lp
 
-from oracles import brute_lp_chi_f
+from oracles import brute_lp_chi_f, reference_covering_lp
 
 
 def assert_certificates(n, cols, sol):
@@ -22,11 +24,25 @@ def assert_certificates(n, cols, sol):
         assert sum(y for r, y in enumerate(sol.dual) if c >> r & 1) <= 1
 
 
+def assert_same_as_reference(n, cols):
+    """The integer solver makes the Fraction solver's pivots and returns its solution."""
+    sol = solve_covering_lp(n, cols)
+    value, primal, dual, pivots = reference_covering_lp(n, cols)
+    assert (sol.value, sol.primal, sol.dual, sol.pivots) == (value, primal, dual, pivots)
+    assert sol.value.denominator.bit_length() <= sol.max_det_bits
+    return sol
+
+
 def test_c5_cycle_cover():
     cols = [(1 << i) | (1 << ((i + 2) % 5)) for i in range(5)]
-    sol = solve_covering_lp(5, cols)
-    assert sol.value == Fraction(5, 2)
+    sol = assert_same_as_reference(5, cols)
+    assert sol.value == Fraction(5, 2) and sol.pivots > 0
     assert_certificates(5, cols, sol)
+
+
+def test_empty_lp_makes_no_pivots():
+    sol = solve_covering_lp(0, [])
+    assert (sol.pivots, sol.max_det_bits) == (0, 0)
 
 
 def test_singletons():
@@ -79,3 +95,42 @@ def test_matches_brute_force_on_random_instances(n, data):
     sets = [frozenset(i for i in range(n) if c >> i & 1) for c in cols]
     assert sol.value == brute_lp_chi_f(n, sets)
     assert_certificates(n, cols, sol)
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Up to 20 columns on n <= 12 rows, with duplicate and dominated columns forced in."""
+    n = draw(st.integers(1, 12))
+    cols = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=13))
+    cols += draw(st.lists(st.sampled_from(cols), max_size=3))
+    subsets = st.tuples(st.sampled_from(cols), st.integers(1, (1 << n) - 1))
+    cols += [c & keep or c for c, keep in draw(st.lists(subsets, max_size=3))]
+    union = 0
+    for c in cols:
+        union |= c
+    if union != (1 << n) - 1:
+        cols.append((1 << n) - 1 & ~union)
+    return n, cols
+
+
+@given(degenerate_instances())
+@settings(max_examples=150, deadline=None)
+def test_matches_fraction_solver_on_degenerate_instances(instance):
+    n, cols = instance
+    sol = assert_same_as_reference(n, cols)
+    assert_certificates(n, cols, sol)
+
+
+C5 = ExplicitSpec(tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
+MAXIMAL_SET_GRAPHS = {
+    **{f"shift-2-{u}": ShiftSpec(2, u) for u in range(4, 11)},
+    **{f"conflict-2-{M}": ConflictSpec(2, M) for M in range(4, 9)},
+    **{f"conflict-3-{M}": ConflictSpec(3, M) for M in range(3, 9)},
+    "c5-or-c5": product(C5, C5),
+}
+
+
+@pytest.mark.parametrize("name", MAXIMAL_SET_GRAPHS)
+def test_matches_fraction_solver_on_maximal_sets(name):
+    graph = build_graph(MAXIMAL_SET_GRAPHS[name])
+    assert_same_as_reference(graph.n, maximal_sets_bits(graph))
