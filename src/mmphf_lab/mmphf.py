@@ -5,10 +5,15 @@ any member, the number of members strictly below it (0-indexed), and may
 answer arbitrarily in [0, n-1] for non-members.  Two schemes are built:
 
 * "explicit-set": the combinatorial rank of S among all n-subsets of
-  [1, u], stored in exactly ceil(log2(C(u, n))) payload bits; queries
-  decode the set and count.
+  [1, u], stored in exactly ceil(log2(C(u, n))) payload bits.  Ranking
+  takes O(n) binomials (the hockey-stick identity); a query decodes the
+  set by galloping search, O(log(gap)) binomials per member, and stops
+  at the first member >= q.
 * "rank-map": a seeded two-level hash-displacement table in the
   O(n log n)-bit regime; queries never look at the key set itself.
+
+The header charges two 64-bit words for (n, u), so `build` rejects
+u > 2^64 - 1.
 
 A deliberately broken scheme with a constant payload is included as a
 negative control for the coloring pipeline.
@@ -27,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .coloring import fractional_chromatic_number
@@ -47,6 +52,7 @@ SCHEMES = (SCHEME_EXPLICIT_SET, SCHEME_RANK_MAP)
 # carry one extra word
 _HEADER_BITS_BASE = 1 + 64 + 64
 _HEADER_BITS_SEED = 64
+_HEADER_WORD_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -154,31 +160,73 @@ class MmphfIndex:
 
 
 def _subset_rank(elements: Sequence[int], u: int) -> int:
-    """Lexicographic position of an increasing tuple among n-subsets of [1,u]."""
+    """Lexicographic position of an increasing tuple among n-subsets of [1,u].
+
+    With r = n - j, the subsets that agree before the j-th element e
+    (0-indexed) and put it at some v in the gap (prev, e) number
+    sum C(u-v, r-1) over the gap, which the hockey-stick identity sums to
+    C(u-prev, r) - C(u-e+1, r); a gap of length 0 adds nothing.  `top`
+    carries C(u-prev, r) to the next element by Pascal's rule, so an
+    element costs at most one `math.comb` and an element at prev+1 none:
+    O(n) binomials in all (Knuth, TAOCP 7.2.1.3).
+    """
     n = len(elements)
     rank = 0
     prev = 0
+    top = math.comb(u, n)
     for j, e in enumerate(elements):
-        for v in range(prev + 1, e):
-            rank += math.comb(u - v, n - j - 1)
+        r = n - j
+        low = math.comb(u - e + 1, r) if e > prev + 1 else top
+        rank += top - low
+        top = low * r // (u - e + 1)  # C(u-e, r-1)
         prev = e
     return rank
 
 
-def _subset_unrank(rank: int, n: int, u: int) -> tuple:
-    out = []
+def _subset_unrank(rank: int, n: int, u: int) -> Iterator[int]:
+    """Yield, in increasing order, the n-subset of [1,u] at `rank`.
+
+    With f(v) = C(u-v, r), r = n - j, the j-th element is the smallest
+    v > prev with f(v) < C(u-prev, r) - rank, and it is at most u-r+1,
+    where f is 0.  v = prev+1 is tested with one `math.comb` of the next
+    step's count C(u-prev-1, r-1); any other v is found by galloping from
+    prev+1 and then bisecting, so an element costs O(log(gap)) binomials
+    and a set O(n log(u/n)).  The bracketing values carry the count and
+    the residual rank to the next step through Pascal's rule.  Elements
+    are produced lazily, so a caller may stop early.  A rank outside
+    [0, C(u,n)) raises CorruptIndexError before any element is produced.
+    """
+    top = math.comb(u, n)  # C(u-prev, r): the subsets still possible
+    if not 0 <= rank < top:
+        raise CorruptIndexError(f"explicit-set payload is not below C({u}, {n})")
     prev = 0
-    for j in range(n):
-        v = prev + 1
-        while True:
-            block = math.comb(u - v, n - j - 1)
-            if rank < block:
-                break
-            rank -= block
-            v += 1
-        out.append(v)
+    for r in range(n, 0, -1):
+        nxt = math.comb(u - prev - 1, r - 1)  # subsets with v = prev+1
+        if rank < nxt:
+            v, top = prev + 1, nxt
+        else:
+            target = top - rank
+            # f(lo) >= target > f(hi)
+            lo, f_lo = prev + 1, top - nxt
+            hi, f_hi = u - r + 1, 0
+            step = 1
+            while lo + step < hi:
+                f = math.comb(u - lo - step, r)
+                if f < target:
+                    hi, f_hi = lo + step, f
+                    break
+                lo, f_lo = lo + step, f
+                step *= 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                f = math.comb(u - mid, r)
+                if f < target:
+                    hi, f_hi = mid, f
+                else:
+                    lo, f_lo = mid, f
+            v, rank, top = hi, f_lo - target, f_lo - f_hi
+        yield v
         prev = v
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +236,8 @@ def _subset_unrank(rank: int, n: int, u: int) -> tuple:
 
 def build(scheme: str, keys: KeySet, seed: int = 0) -> MmphfIndex:
     """Build an index; member queries return exact 0-indexed ranks."""
+    if keys.u > _HEADER_WORD_MAX:  # n <= u, so both header words fit
+        raise ValueError("universe size exceeds the 64-bit header word (u <= 2^64 - 1)")
     if scheme == SCHEME_EXPLICIT_SET:
         bits = max(math.comb(keys.u, keys.n) - 1, 0).bit_length()
         payload = BitString(_subset_rank(keys.elements, keys.u), bits)
@@ -205,8 +255,12 @@ def query(index: MmphfIndex, q: int) -> int:
     if not 1 <= q <= index.u:
         raise ValueError(f"query {q} outside universe [1, {index.u}]")
     if index.scheme == SCHEME_EXPLICIT_SET:
-        elements = _subset_unrank(index.payload.value, index.n, index.u)
-        return min(bisect_left(elements, q), index.n - 1)
+        # the number of members below q, at most n-1: decoding stops at
+        # the first member >= q
+        for j, e in enumerate(_subset_unrank(index.payload.value, index.n, index.u)):
+            if e >= q:
+                return j
+        return index.n - 1
     if index.scheme == SCHEME_RANK_MAP:
         return _query_rank_map(index, q)
     if index.scheme == SCHEME_BROKEN:

@@ -7,9 +7,14 @@ maximal independent sets can be cross-checked through networkx cliques
 on the complement graph; the rank-map placement loop is kept in its
 original form, with its 4·n² probe range, as the reference for the
 bounded one; and the covering LP's revised simplex is kept in its
-`Fraction` form as the reference for the integer-preserving one.
+`Fraction` form as the reference for the integer-preserving one; the
+explicit-set codec is kept in its original walk over every universe
+element as the reference for the hockey-stick one; and shift graphs get
+the Erdős–Hajnal colouring as a chromatic-number bound that does not
+search.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -158,6 +163,46 @@ def reference_try_place(keys, seed, attempt):
         else:
             return None
     return displacements, slots
+
+
+def reference_subset_rank(elements, u):
+    """`mmphf._subset_rank` before the hockey-stick identity: one binomial per skipped
+    universe element."""
+    n = len(elements)
+    rank = 0
+    prev = 0
+    for j, e in enumerate(elements):
+        for v in range(prev + 1, e):
+            rank += math.comb(u - v, n - j - 1)
+        prev = e
+    return rank
+
+
+def reference_subset_unrank(rank, n, u):
+    """`mmphf._subset_unrank` before galloping search: one binomial per universe element
+    up to the last member."""
+    out = []
+    prev = 0
+    for j in range(n):
+        v = prev + 1
+        while True:
+            block = math.comb(u - v, n - j - 1)
+            if rank < block:
+                break
+            rank -= block
+            v += 1
+        out.append(v)
+        prev = v
+    return tuple(out)
+
+
+def shift_graph_coloring(vertices):
+    """Erdős–Hajnal colouring of shift(2,u): (a, b) gets msb((a-1) xor (b-1)).
+
+    At that bit a-1 has a 0 and b-1 a 1, so (a, b) and (b, c) never share a
+    colour, and the colours are the ceil(log2 u) bit positions below u.
+    """
+    return [((a - 1) ^ (b - 1)).bit_length() - 1 for a, b in vertices]
 
 
 def reference_covering_lp(num_rows, columns):

@@ -194,6 +194,23 @@ class TestMmphfVerify:
         )
         assert code == 0 and json.loads(out)["ok"]
 
+    def test_explicit_set_near_2_to_the_64_fresh_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmphf_lab.cli", "mmphf-verify", "--scheme", "explicit-set",
+             "--keys", "5,18446744073709551000", "--u", "18446744073709551615"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
+
+    def test_universe_beyond_the_64_bit_header_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mmphf-verify", "--scheme", "rank-map",
+            "--keys", "1,5,1180591620717411303420", "--u", str(2**70),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("mmphf-lab: error: ") and "64-bit header" in err
+
 
 class TestBoundReport:
     def test_conflict_2_4(self, capsys):

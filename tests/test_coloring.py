@@ -23,6 +23,7 @@ from mmphf_lab.coloring import (
 from mmphf_lab.graphs import (
     ConflictSpec,
     ExplicitSpec,
+    ShiftSpec,
     bit_indices,
     build_graph,
     explicit_graph,
@@ -31,7 +32,13 @@ from mmphf_lab.graphs import (
 )
 from mmphf_lab.rng import BitSampler
 
-from oracles import brute_lp_chi_f, is_acyclic, is_bipartite, networkx_maximal_independent_sets
+from oracles import (
+    brute_lp_chi_f,
+    is_acyclic,
+    is_bipartite,
+    networkx_maximal_independent_sets,
+    shift_graph_coloring,
+)
 
 
 def complete(n):
@@ -86,6 +93,19 @@ class TestChromaticNumber:
     def test_clique_bound(self):
         assert greedy_clique_lower_bound(complete(6)) == 6
         assert greedy_clique_lower_bound(cycle(5)) == 2
+
+    @pytest.mark.parametrize("u", range(2, 13))
+    def test_shift_2_against_erdos_hajnal(self, u):
+        g = build_graph(ShiftSpec(2, u))
+        assert g.vertices == list(combinations(range(1, u + 1), 2))
+        colors = shift_graph_coloring(g.vertices)
+        color_of = dict(zip(g.vertices, colors))
+        # proper on the shift edges (a, b) ~ (b, c) counted from first principles
+        for a, b, c in combinations(range(1, u + 1), 3):
+            assert color_of[a, b] != color_of[b, c]
+        ceil_log2_u = (u - 1).bit_length()
+        assert is_proper_coloring(g, colors) and len(set(colors)) == ceil_log2_u
+        assert chromatic_number(g)[0] == ceil_log2_u
 
 
 class TestFractionalChromaticNumber:

@@ -1,9 +1,11 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmphf_lab import mmphf
 from mmphf_lab.errors import CorruptIndexError, SchemeViolationError
@@ -30,7 +32,7 @@ from mmphf_lab.mmphf import (
 from mmphf_lab.rng import BitSampler
 from mmphf_lab.tower import Pow2, ScaledPow2, parse_tower, pow2
 
-from oracles import reference_try_place
+from oracles import reference_subset_rank, reference_subset_unrank, reference_try_place
 
 
 EXAMPLE = KeySet(elements=(2, 3, 6, 7), u=8)
@@ -132,6 +134,73 @@ class TestRankMapPlacement:
         keys = _random_keys(0, 1024, 1 << 20)
         idx = build(SCHEME_RANK_MAP, keys, seed=0)
         assert [query(idx, e) for e in keys.elements] == list(range(keys.n))
+
+
+class TestSubsetCodec:
+    def test_equal_to_the_reference_for_u_up_to_12(self):
+        for u in range(13):
+            for n in range(u + 1):
+                # combinations() lists the n-subsets in lexicographic order
+                for position, subset in enumerate(combinations(range(1, u + 1), n)):
+                    rank = mmphf._subset_rank(subset, u)
+                    assert rank == reference_subset_rank(subset, u) == position, (subset, u)
+                    decoded = tuple(mmphf._subset_unrank(rank, n, u))
+                    assert decoded == reference_subset_unrank(rank, n, u) == subset
+
+    def test_stopped_query_equals_full_decode_for_u_up_to_10(self):
+        for u in range(1, 11):
+            for n in range(1, u + 1):
+                for subset in combinations(range(1, u + 1), n):
+                    idx = build(SCHEME_EXPLICIT_SET, KeySet(subset, u))
+                    elements = reference_subset_unrank(idx.payload.value, n, u)
+                    for q in range(1, u + 1):
+                        assert query(idx, q) == min(bisect_left(elements, q), n - 1), (subset, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 10**6).flatmap(
+            lambda u: st.tuples(
+                st.just(u),
+                st.lists(st.integers(1, u), min_size=1, max_size=40, unique=True),
+                st.integers(1, u),
+            )
+        )
+    )
+    def test_roundtrip_up_to_a_million(self, case):
+        u, elements, q = case
+        elements = tuple(sorted(elements))
+        n = len(elements)
+        rank = mmphf._subset_rank(elements, u)
+        assert 0 <= rank < math.comb(u, n)
+        assert tuple(mmphf._subset_unrank(rank, n, u)) == elements
+        idx = build(SCHEME_EXPLICIT_SET, KeySet(elements, u))
+        assert [query(idx, e) for e in elements] == list(range(n))
+        assert query(idx, q) == min(bisect_left(elements, q), n - 1)
+
+    def test_roundtrip_at_u_2_to_the_64_minus_1(self):
+        u = 2**64 - 1
+        spread = tuple(1 + i * (u // 40) for i in range(40))
+        for elements in [(5, 18446744073709551000), (1,), (u,), (1, 2, 3, u), (u - 2, u - 1, u),
+                         spread]:
+            keys = KeySet(elements, u)
+            idx = build(SCHEME_EXPLICIT_SET, keys)
+            assert idx.size_bits == (math.comb(u, keys.n) - 1).bit_length()
+            assert tuple(mmphf._subset_unrank(idx.payload.value, keys.n, u)) == elements
+            assert [query(idx, e) for e in elements] == list(range(keys.n))
+            assert query(idx, 2**63) == min(bisect_left(elements, 2**63), keys.n - 1)
+
+    def test_payload_not_below_the_subset_count_is_corrupt(self):
+        u, n = 8, 3  # C(8, 3) = 56 fits 6 bits, so payloads 56..63 name no subset
+        for value in (56, 63):
+            idx = MmphfIndex(SCHEME_EXPLICIT_SET, n, u, None, BitString(value, 6))
+            with pytest.raises(CorruptIndexError):
+                query(idx, 1)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_universe_must_fit_the_64_bit_header(self, scheme):
+        build(scheme, KeySet((1, 5, 2**64 - 1), 2**64 - 1))
+        with pytest.raises(ValueError, match="64-bit header"):
+            build(scheme, KeySet((1, 5, 2**64 - 1), 2**64))
 
 
 class TestBitString:
