@@ -1,14 +1,15 @@
 """Enumeration caps.
 
 Every exhaustive enumeration in the package (graph vertices, label
-functions, distribution outcomes) is guarded by a cap from this module.
+functions, distribution outcomes, the nodes of the chromatic-number
+search) is guarded by a cap from this module.
 The true parameters of the constructions are astronomically large and
 must be rejected loudly rather than truncated: `EnumerationCaps.check`
 is the one place that compares a required count with its cap and raises
 `EnumerationCapExceeded` naming the cap.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import EnumerationCapExceeded
 
@@ -18,11 +19,12 @@ class EnumerationCaps:
     max_vertices: int = 10**6
     max_label_functions: int = 3**10
     max_outcomes: int = 10**7
+    max_search_nodes: int = 10**6
 
     def __post_init__(self):
-        for name in ("max_vertices", "max_label_functions", "max_outcomes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive")
 
     def check(self, name: str, required: int) -> None:
         """Raise EnumerationCapExceeded if required exceeds the cap called name."""

@@ -12,9 +12,12 @@ The LP solver checks nothing of its own result.
 
 The integral chromatic number comes from iterative deepening on the color
 count; each k-colorability test peels vertices of degree < k (always
-extendable afterwards) and then runs saturation-ordered backtracking with
-forward checking.  Tie-breaking follows the canonical vertex order, so
-results are deterministic.
+extendable afterwards) and then runs DSATUR backtracking with forward
+checking on bitmasks: saturation buckets over one static degree order
+pick the next vertex, and only one color never used on the path is tried
+per node, since such colors are interchangeable.  Tie-breaking follows
+the canonical vertex order, so results are deterministic, and the search
+nodes of one `chromatic_number` call are capped by max_search_nodes.
 
 Dual witnesses double as vertex distributions: a distribution mu
 certifies chi_f >= 1 / (max independent-set mass), and the optimal dual
@@ -152,10 +155,18 @@ def _first_free_color(graph: Graph, v: int, colors: list) -> int:
 
 
 def k_colorable(graph: Graph, k: int) -> Optional[list]:
-    """A proper k-coloring as a list of color ids, or None if none exists."""
+    """A proper k-coloring as a list of color ids, or None if none exists.
+
+    The search is bounded by the default max_search_nodes.
+    """
+    return _k_coloring(graph, k, DEFAULT_CAPS, 0)[0]
+
+
+def _k_coloring(graph: Graph, k: int, caps: EnumerationCaps, spent: int) -> tuple:
+    """(k-coloring or None, search nodes spent so far, this call included)."""
     n = graph.n
     if k <= 0:
-        return None if n else []
+        return (None if n else []), spent
     # peel vertices of degree < k; they can always be colored afterwards
     alive = (1 << n) - 1
     peel_order = []
@@ -168,63 +179,82 @@ def k_colorable(graph: Graph, k: int) -> Optional[list]:
                 peel_order.append(v)
                 changed = True
     colors = [-1] * n
-    core = [v for v in range(n) if alive >> v & 1]
-    if core and not _color_core(graph, core, k, colors):
-        return None
+    if alive:
+        found, spent = _color_core(graph, alive, k, colors, caps, spent)
+        if not found:
+            return None, spent
     for v in reversed(peel_order):
         # degree < k at peel time guarantees a color below k
         colors[v] = _first_free_color(graph, v, colors)
-    return colors
+    return colors, spent
 
 
-def _color_core(graph: Graph, core: list, k: int, colors: list) -> bool:
-    full = (1 << k) - 1
-    domains = {v: full for v in core}
-    nbrs = {v: [w for w in core if graph.adj_bits[v] >> w & 1] for v in core}
-    uncolored = set(core)
+def _color_core(
+    graph: Graph, core: int, k: int, colors: list, caps: EnumerationCaps, spent: int
+) -> tuple:
+    """DSATUR with forward checking on the core bitmask: (found, nodes spent so far).
 
-    def choose():
-        # max saturation, then max degree among uncolored, then canonical
-        best, key = None, None
-        for v in uncolored:
-            cand = (k - domains[v].bit_count(), len(nbrs[v]), -v)
-            if key is None or cand > key:
-                best, key = v, cand
-        return best
+    The next vertex has the most colors barred by its colored neighbours,
+    then the highest core degree, then the lowest id.  The last two keys
+    are static, so vertices sit at positions sorted by them once, and
+    bucket[s] holds the uncolored positions barred from s colors: the
+    choice is the lowest bit of the highest non-empty bucket.  has[c]
+    holds the positions whose domain still holds color c.  Colors from
+    `used` up lie in every uncolored domain and are interchangeable, so
+    only the first of them is tried; the subtrees skipped hold no coloring,
+    and the first coloring found is the one plain ascending order finds.
+    """
+    adj = graph.adj_bits
+    order = sorted(bit_indices(core), key=lambda v: (-(adj[v] & core).bit_count(), v))
+    pos = {v: p for p, v in enumerate(order)}
+    nbr = [sum(1 << pos[w] for w in bit_indices(adj[v] & core)) for v in order]
+    everyone = (1 << len(order)) - 1
+    has = [everyone] * k
+    bucket = [everyone] + [0] * (k - 1)
+    limit = caps.max_search_nodes
+    top = k - 1
 
-    def assign(v, c):
-        undo = []
-        for w in nbrs[v]:
-            if w in uncolored and domains[w] >> c & 1:
-                domains[w] &= ~(1 << c)
-                undo.append(w)
-                if domains[w] == 0:
-                    for u in undo:
-                        domains[u] |= 1 << c
-                    return None
-        return undo
-
-    def rec():
+    def rec(uncolored: int, used: int) -> bool:
+        nonlocal spent
         if not uncolored:
             return True
-        v = choose()
-        uncolored.discard(v)
-        d = domains[v]
-        while d:
-            c = (d & -d).bit_length() - 1
-            d &= d - 1
-            colors[v] = c
-            undo = assign(v, c)
-            if undo is not None:
-                if rec():
-                    return True
-                for u in undo:
-                    domains[u] |= 1 << c
-            colors[v] = -1
-        uncolored.add(v)
+        spent += 1
+        if spent > limit:
+            caps.check("max_search_nodes", spent)
+        s = top
+        while not bucket[s]:
+            s -= 1
+        low = bucket[s] & -bucket[s]
+        bucket[s] ^= low
+        p = low.bit_length() - 1
+        uncolored ^= low
+        near = nbr[p] & uncolored
+        for c in range(min(used + 1, k)):
+            if not has[c] & low:
+                continue
+            hit = near & has[c]
+            if hit & bucket[top]:
+                continue  # a neighbour would lose its last color
+            saved = bucket[:]
+            rest = hit
+            t = top - 1
+            while rest:
+                moved = bucket[t] & rest
+                if moved:
+                    bucket[t] ^= moved
+                    bucket[t + 1] |= moved
+                    rest ^= moved
+                t -= 1
+            has[c] ^= hit
+            colors[order[p]] = c
+            if rec(uncolored, max(used, c + 1)):
+                return True
+            has[c] ^= hit
+            bucket[:] = saved
+        bucket[s] |= low
         return False
 
-    return rec()
+    return rec(everyone, 0), spent
 
 
 def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tuple:
@@ -232,7 +262,8 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
 
     Iterative deepening from a greedy clique lower bound; the first color
     count that admits a proper coloring is returned together with its
-    witness.
+    witness.  The search nodes of all color counts tried together are
+    bounded by caps.max_search_nodes.
     """
     if graph.n == 0:
         raise ValueError("empty graph has no chromatic number")
@@ -241,8 +272,9 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
         return 1, [0] * graph.n
     lo = max(2, greedy_clique_lower_bound(graph))
     hi = max(greedy_coloring(graph)) + 1
+    spent = 0
     for k in range(lo, hi + 1):
-        witness = k_colorable(graph, k)
+        witness, spent = _k_coloring(graph, k, caps, spent)
         if witness is not None:
             return k, witness
     raise RuntimeError("unreachable: greedy coloring bounds the search")

@@ -9,9 +9,10 @@ original form, with its 4·n² probe range, as the reference for the
 bounded one; and the covering LP's revised simplex is kept in its
 `Fraction` form as the reference for the integer-preserving one; the
 explicit-set codec is kept in its original walk over every universe
-element as the reference for the hockey-stick one; and shift graphs get
-the Erdős–Hajnal colouring as a chromatic-number bound that does not
-search.
+element as the reference for the hockey-stick one; DSATUR is kept in its
+rescan-every-vertex form, trying every colour of a domain, as the
+reference for the bucketed one; and shift graphs get the Erdős–Hajnal
+colouring as a chromatic-number bound that does not search.
 """
 
 import math
@@ -396,3 +397,86 @@ class _FractionRevisedSimplex:
         y = self._prices()
         value = sum((self.xb[i] for i, j in enumerate(self.basis) if j < self.nc), ZERO)
         return value, sorted(primal.items()), y
+
+
+def reference_k_colorable(graph, k):
+    """`coloring.k_colorable` before saturation buckets: peeling, then DSATUR
+    that rescans every uncoloured vertex per node and tries every colour of
+    the domain.  A proper k-colouring as a list, or None."""
+    n = graph.n
+    if k <= 0:
+        return None if n else []
+    alive = (1 << n) - 1
+    peel_order = []
+    changed = True
+    while changed:
+        changed = False
+        for v in range(n):
+            if alive >> v & 1 and (graph.adj_bits[v] & alive).bit_count() < k:
+                alive &= ~(1 << v)
+                peel_order.append(v)
+                changed = True
+    colors = [-1] * n
+    core = [v for v in range(n) if alive >> v & 1]
+    if core and not _reference_color_core(graph, core, k, colors):
+        return None
+    for v in reversed(peel_order):
+        used = 0
+        for w in bit_indices(graph.adj_bits[v]):
+            if colors[w] >= 0:
+                used |= 1 << colors[w]
+        c = 0
+        while used >> c & 1:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def _reference_color_core(graph, core, k, colors):
+    full = (1 << k) - 1
+    domains = {v: full for v in core}
+    nbrs = {v: [w for w in core if graph.adj_bits[v] >> w & 1] for v in core}
+    uncolored = set(core)
+
+    def choose():
+        # max saturation, then max degree among uncolored, then canonical
+        best, key = None, None
+        for v in uncolored:
+            cand = (k - domains[v].bit_count(), len(nbrs[v]), -v)
+            if key is None or cand > key:
+                best, key = v, cand
+        return best
+
+    def assign(v, c):
+        undo = []
+        for w in nbrs[v]:
+            if w in uncolored and domains[w] >> c & 1:
+                domains[w] &= ~(1 << c)
+                undo.append(w)
+                if domains[w] == 0:
+                    for u in undo:
+                        domains[u] |= 1 << c
+                    return None
+        return undo
+
+    def rec():
+        if not uncolored:
+            return True
+        v = choose()
+        uncolored.discard(v)
+        d = domains[v]
+        while d:
+            c = (d & -d).bit_length() - 1
+            d &= d - 1
+            colors[v] = c
+            undo = assign(v, c)
+            if undo is not None:
+                if rec():
+                    return True
+                for u in undo:
+                    domains[u] |= 1 << c
+            colors[v] = -1
+        uncolored.add(v)
+        return False
+
+    return rec()

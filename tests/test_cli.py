@@ -72,6 +72,16 @@ class TestChi:
         assert code == 0
         assert json.loads(out)["chi"] == 3
 
+    def test_chi_search_node_cap_fresh_process(self):
+        # shift(2,17) needs more than the default 10**6 DSATUR nodes
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmphf_lab.cli", "chi", "--graph", "shift", "--n", "2",
+             "--u", "17"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "max_search_nodes" in proc.stderr
+
 
 class TestGraph:
     def test_summary(self, capsys):

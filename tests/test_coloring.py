@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmphf_lab import coloring
+from mmphf_lab.caps import EnumerationCaps
 from mmphf_lab.coloring import (
     DualWitness,
     chromatic_number,
@@ -13,6 +14,7 @@ from mmphf_lab.coloring import (
     evaluate_dual_witness,
     fractional_chromatic_number,
     greedy_clique_lower_bound,
+    greedy_coloring,
     is_proper_coloring,
     k_colorable,
     maximal_sets_bits,
@@ -27,9 +29,11 @@ from mmphf_lab.graphs import (
     bit_indices,
     build_graph,
     explicit_graph,
+    or_product,
     product,
     product_maximal_sets_bits,
 )
+from mmphf_lab.errors import EnumerationCapExceeded
 from mmphf_lab.rng import BitSampler
 
 from oracles import (
@@ -37,6 +41,7 @@ from oracles import (
     is_acyclic,
     is_bipartite,
     networkx_maximal_independent_sets,
+    reference_k_colorable,
     shift_graph_coloring,
 )
 
@@ -106,6 +111,56 @@ class TestChromaticNumber:
         ceil_log2_u = (u - 1).bit_length()
         assert is_proper_coloring(g, colors) and len(set(colors)) == ceil_log2_u
         assert chromatic_number(g)[0] == ceil_log2_u
+
+
+def assert_matches_reference(g):
+    """k_colorable equals the reference DSATUR for every k between the bounds."""
+    lo = greedy_clique_lower_bound(g)
+    hi = max(greedy_coloring(g)) + 1
+    for k in range(lo, hi + 1):
+        assert k_colorable(g, k) == reference_k_colorable(g, k), k
+
+
+def reference_chromatic_number(g):
+    for k in range(max(2, greedy_clique_lower_bound(g)), max(greedy_coloring(g)) + 2):
+        witness = reference_k_colorable(g, k)
+        if witness is not None:
+            return k, witness
+
+
+# search nodes chromatic_number spends on shift(2,15), the benchmark's chi input
+SHIFT_2_15_NODES = 47335
+
+
+class TestBucketDsatur:
+    """The bucketed search finds the colouring the plain DSATUR finds."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ShiftSpec(2, u) for u in range(3, 15)]
+        + [ConflictSpec(2, M) for M in range(4, 9)]
+        + [ConflictSpec(3, M, offset) for M in range(3, 9) for offset in (4, 17)],
+        ids=repr,
+    )
+    def test_matches_reference(self, spec):
+        assert_matches_reference(build_graph(spec))
+
+    def test_c5_or_c5_matches_reference(self):
+        assert_matches_reference(or_product(cycle(5), cycle(5)))
+
+    def test_shift_2_15_matches_reference(self):
+        g = build_graph(ShiftSpec(2, 15))
+        assert chromatic_number(g) == reference_chromatic_number(g)
+
+    def test_node_cap_on_shift_2_15(self):
+        g = build_graph(ShiftSpec(2, 15))
+        chi, _ = chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_NODES))
+        assert chi == 4
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_NODES - 1))
+        assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
+            "max_search_nodes", SHIFT_2_15_NODES, SHIFT_2_15_NODES - 1,
+        )
 
 
 class TestFractionalChromaticNumber:
@@ -347,8 +402,8 @@ class TestProductMaximalSetsHelper:
 
 
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(1, 9))
+def random_graphs(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return n, [e for e, k in zip(pairs, keep) if k]
@@ -367,3 +422,10 @@ def test_chi_f_matches_highs(graph):
     assert res.status == 0
     chi_f = fractional_chromatic_number(explicit_graph(range(n), edges), include_chi=False).chi_f
     assert abs(chi_f - res.fun) <= 1e-9
+
+
+@given(random_graphs(max_n=14))
+@settings(max_examples=80, deadline=None)
+def test_k_colorable_matches_reference_on_random_graphs(graph):
+    n, edges = graph
+    assert_matches_reference(explicit_graph(range(n), edges))

@@ -313,8 +313,9 @@ class TestValidation:
             ConflictSpec(3, 2)
 
     def test_caps_validation(self):
-        with pytest.raises(ValueError):
-            EnumerationCaps(max_vertices=0)
+        for name in ("max_vertices", "max_label_functions", "max_outcomes", "max_search_nodes"):
+            with pytest.raises(ValueError, match=name):
+                EnumerationCaps(**{name: 0})
 
     def test_caps_check(self):
         caps = EnumerationCaps(max_outcomes=7)
