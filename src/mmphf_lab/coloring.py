@@ -6,9 +6,13 @@ maximal independent sets as columns, so the primal weighting, the dual
 vertex prices and the optimal value agree as Fraction equalities (strong
 duality, no floating point anywhere).  `fractional_chromatic_number`
 checks every report it returns once, in `_verify_report`: independent,
-covering primal sets, a dual feasible on every maximal set, equal values,
-and chi_f <= chi with a proper coloring whose colors lie in range(chi).
-The LP solver checks nothing of its own result.
+covering primal sets, a dual whose largest mass on an independent set of
+the graph is at most 1, equal values, and chi_f <= chi with a proper
+coloring whose colors lie in range(chi).  The dual is checked against the
+graph itself, on the subgraph its positive-weight vertices induce
+(`max_mass`), never against the column list the LP was given, so a set
+missing from that list shows up as an infeasible dual.  The LP solver
+checks nothing of its own result.
 
 The integral chromatic number comes from iterative deepening on the color
 count; each k-colorability test peels vertices of degree < k (always
@@ -20,10 +24,11 @@ the canonical vertex order, so results are deterministic, and the search
 nodes of one `chromatic_number` call are capped by max_search_nodes.
 
 Dual witnesses double as vertex distributions: a distribution mu
-certifies chi_f >= 1 / (max independent-set mass), and the optimal dual
-rescaled by its total attains equality.  Certificates of or-products
-compose coordinatewise and multiply in value; the composed pair is checked
-on the or-product by the same `_verify_report`.
+certifies chi_f >= 1 / max_mass(graph, mu), and the optimal dual rescaled
+by its total attains equality.  Certificates of or-products compose
+coordinatewise and multiply in value; the composed pair is checked on the
+or-product graph by the same `_verify_report`, with no list of the
+product's maximal sets.
 """
 
 from dataclasses import dataclass
@@ -32,7 +37,7 @@ from typing import Iterable, Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import Graph, bit_indices, bron_kerbosch_maximal_sets, or_product
-from .graphs import product_index, product_maximal_sets_bits, product_set
+from .graphs import product_index, product_set
 from .lp import solve_covering_lp
 from .serialize import frac_str
 
@@ -308,8 +313,7 @@ def fractional_chromatic_number(
     """
     if graph.n == 0:
         raise ValueError("empty graph has no fractional chromatic number")
-    mis = maximal_sets_bits(graph, caps)
-    sol = solve_covering_lp(graph.n, mis)
+    sol = solve_covering_lp(graph.n, maximal_sets_bits(graph, caps))
     primal = FractionalColoring(
         sets=[mask for mask, _ in sol.primal], weights=[w for _, w in sol.primal]
     )
@@ -317,18 +321,18 @@ def fractional_chromatic_number(
     report = ChiReport(chi_f=sol.value, primal=primal, dual=dual)
     if include_chi:
         report.chi, report.coloring = chromatic_number(graph, caps)
-    _verify_report(graph, mis, report)
+    _verify_report(graph, report)
     return report
 
 
-def _verify_report(graph: Graph, mis: list, report: ChiReport) -> None:
+def _verify_report(graph: Graph, report: ChiReport) -> None:
     """The one exact check of a chi_f report; any failure is a solver bug."""
     if not verify_primal(graph.n, report.primal):
         raise RuntimeError("primal certificate infeasible; solver bug")
     for s in report.primal.sets:
         if any(graph.adj_bits[v] & s for v in bit_indices(s)):
             raise RuntimeError("primal set not independent; solver bug")
-    if not verify_dual(mis, report.dual):
+    if not verify_dual(graph, report.dual):
         raise RuntimeError("dual certificate infeasible; solver bug")
     if report.primal.value != report.chi_f or report.dual.value != report.chi_f:
         raise RuntimeError("certificate values disagree; solver bug")
@@ -357,42 +361,57 @@ def verify_primal(num_vertices: int, primal: FractionalColoring) -> bool:
     return all(c >= ONE for c in cover)
 
 
-def verify_dual(maximal_sets: list, dual: DualWitness) -> bool:
-    """Feasibility of a dual witness against the given maximal sets.
+def verify_dual(graph: Graph, dual: DualWitness) -> bool:
+    """Feasibility of a dual witness on the graph: mass <= 1 on every independent set.
 
-    Nonnegative weights whose mass on every maximal independent set is at
-    most 1 are feasible on every independent set, since weights only drop
-    when a set shrinks.
+    The weights must be nonnegative and name vertices of the graph; the mass
+    bound is checked by `max_mass` on the positive-weight vertices.
     """
-    if any(w < 0 for w in dual.weights.values()):
+    if any(w < 0 for w in dual.weights.values()) or any(
+        v not in range(graph.n) for v in dual.weights
+    ):
         return False
-    return _max_mass(maximal_sets, dual.weights) <= ONE
+    return max_mass(graph, dual.weights) <= ONE
 
 
-def _max_mass(sets: list, weights: dict) -> Fraction:
-    """Largest total weight on any of the bitmask sets; 0 when there are none."""
+def max_mass(graph: Graph, weights: dict) -> Fraction:
+    """Largest total of nonnegative vertex weights on an independent set; 0 if none.
+
+    Only vertices of positive weight add mass, so the maximum is taken over
+    the maximal independent sets of the subgraph they induce.  Each of those
+    extends to a maximal set of the graph that meets the support in exactly
+    that set, so there are never more of them than maximal sets of the graph.
+    Raises ValueError if a weight names a vertex outside range(graph.n).
+    """
+    if any(v not in range(graph.n) for v in weights):
+        raise ValueError("weights name a vertex outside the graph")
+    support = [v for v in sorted(weights) if weights[v] > 0]
+    bits = sum(1 << v for v in support)
+    pos = {v: i for i, v in enumerate(support)}
+    sub_adj = [sum(1 << pos[w] for w in bit_indices(graph.adj_bits[v] & bits)) for v in support]
     return max(
-        (sum((weights.get(v, ZERO) for v in bit_indices(s)), ZERO) for s in sets),
+        (
+            sum((weights[support[i]] for i in bit_indices(s)), ZERO)
+            for s in bron_kerbosch_maximal_sets(sub_adj)
+        ),
         default=ZERO,
     )
 
 
-def evaluate_dual_witness(
-    graph: Graph, mu: dict, caps: EnumerationCaps = DEFAULT_CAPS
-) -> Fraction:
+def evaluate_dual_witness(graph: Graph, mu: dict) -> Fraction:
     """Certified lower bound on chi_f from a vertex distribution.
 
-    mu must sum to exactly 1; the bound is the reciprocal of the largest
-    mass any (maximal) independent set receives.
+    mu must sum to exactly 1 over vertices of the graph; the bound is the
+    reciprocal of the largest mass any independent set receives.
     """
     total = sum((Fraction(w) for w in mu.values()), ZERO)
     if total != ONE:
         raise ValueError(f"distribution must sum to 1, got {total}")
     if any(w < 0 for w in mu.values()):
         raise ValueError("distribution has negative mass")
-    best = _max_mass(maximal_sets_bits(graph, caps), mu)
+    best = max_mass(graph, mu)
     if best == ZERO:
-        raise RuntimeError("no maximal set carries mass; impossible for mu summing to 1")
+        raise RuntimeError("no independent set carries mass; impossible for mu summing to 1")
     return ONE / best
 
 
@@ -439,10 +458,11 @@ def product_multiplicativity_certificates(
 
     Solves each factor exactly and composes the certificates into a report
     of value chi_f(G1) * chi_f(G2).  `_verify_report` then checks it on the
-    or-product against the product's maximal sets, like any other report:
-    every composed set independent and covering, the dual feasible, and
-    both values equal.  Matching values squeeze chi_f of the product to
-    exactly the product of the factor values.
+    or-product graph like any other report: every composed set independent
+    and covering, the dual's mass at most 1 on every independent set of the
+    subgraph its positive-weight vertices induce, and both values equal.
+    Matching values squeeze chi_f of the product to exactly the product of
+    the factor values.
     Returns (product_value, composed_primal, composed_dual).
     """
     r1 = fractional_chromatic_number(g1, caps, include_chi=False)
@@ -452,8 +472,5 @@ def product_multiplicativity_certificates(
         primal=compose_product_primal(r1.primal, r2.primal, g1.n, g2.n),
         dual=compose_product_dual(r1.dual, r2.dual, g2.n),
     )
-    mis = product_maximal_sets_bits(
-        maximal_sets_bits(g1, caps), maximal_sets_bits(g2, caps), g2.n
-    )
-    _verify_report(or_product(g1, g2), mis, report)
+    _verify_report(or_product(g1, g2), report)
     return report.chi_f, report.primal, report.dual

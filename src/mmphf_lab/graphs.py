@@ -111,31 +111,6 @@ def product(g1: GraphSpec, g2: GraphSpec) -> ProductSpec:
     return ProductSpec(g1, g2)
 
 
-def k_fold_conflict(m: int, k: int, M: int | None = None) -> GraphSpec:
-    """Product of k conflict graphs over consecutive disjoint offset ranges."""
-    if k < 1:
-        raise ValueError("fold count k must be >= 1")
-    if M is None:
-        M = canonical_universe_width(m)
-    spec: GraphSpec = ConflictSpec(m, M, 0)
-    for i in range(1, k):
-        spec = ProductSpec(spec, ConflictSpec(m, M, i * M))
-    return spec
-
-
-def canonical_universe_width(m: int) -> int:
-    """The construction's own universe width 2^(m^(m^2+m)); huge beyond m=2."""
-    return 2 ** (m ** (m * m + m))
-
-
-def flatten_product_vertex(v) -> tuple:
-    """Concatenate a nested product vertex into one flat tuple."""
-    if isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], tuple) and isinstance(v[1], tuple):
-        # ambiguous for explicit graphs, but product vertices are always pairs
-        return flatten_product_vertex(v[0]) + flatten_product_vertex(v[1])
-    return v if isinstance(v, tuple) else (v,)
-
-
 def vertex_count(spec: GraphSpec) -> int:
     if isinstance(spec, ConflictSpec):
         return math.comb(spec.M, spec.m)
@@ -410,14 +385,6 @@ def product_set(a: int, b: int, n2: int) -> int:
     """
     # the blocks b << product_index(i1, 0, n2) are disjoint, so sum is or
     return sum(b << product_index(i1, 0, n2) for i1 in bit_indices(a))
-
-
-def product_maximal_sets_bits(mis1: list[int], mis2: list[int], n2: int) -> list[int]:
-    """Maximal independent sets of an or-product, from those of its factors.
-
-    A maximal set of the product is exactly a product of maximal sets.
-    """
-    return sorted(product_set(a, b, n2) for a in mis1 for b in mis2)
 
 
 # ---------------------------------------------------------------------------

@@ -80,13 +80,6 @@ class KeySet:
         return bisect_left(self.elements, q)
 
 
-def keyset_to_text(keys: KeySet) -> str:
-    """Newline-delimited decimals with a leading `u=` header line."""
-    lines = [f"u={keys.u}"]
-    lines.extend(str(e) for e in keys.elements)
-    return "\n".join(lines) + "\n"
-
-
 def keyset_from_text(text: str) -> KeySet:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("u="):

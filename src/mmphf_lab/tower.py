@@ -61,10 +61,6 @@ def _cmp_pow2_int(p: Pow2, x: int) -> int:
     return 0 if x == 1 << (bits - 1) else -1
 
 
-def tower_le(a: TowerInt, b: TowerInt) -> bool:
-    return tower_cmp(a, b) <= 0
-
-
 @dataclass(frozen=True)
 class ScaledPow2:
     """mantissa * 2^exponent with plain-int parts; mantissa >= 1."""

@@ -12,7 +12,9 @@ explicit-set codec is kept in its original walk over every universe
 element as the reference for the hockey-stick one; DSATUR is kept in its
 rescan-every-vertex form, trying every colour of a domain, as the
 reference for the bucketed one; and shift graphs get the Erdős–Hajnal
-colouring as a chromatic-number bound that does not search.
+colouring as a chromatic-number bound that does not search; the dual
+check's largest independent-set mass is kept as a sum over every maximal
+set of the whole graph, as the reference for the one over the support.
 """
 
 import math
@@ -135,6 +137,21 @@ def networkx_maximal_independent_sets(num_vertices, edges):
     g.add_edges_from(edges)
     comp = nx.complement(g)
     return {frozenset(c) for c in nx.find_cliques(comp)} if num_vertices else set()
+
+
+def reference_max_mass(graph, weights):
+    """Largest weight on a maximal independent set of the whole graph.
+
+    The rule the dual check used while it summed over the full list of
+    maximal sets; here the list comes from networkx.
+    """
+    return max(
+        (
+            sum((weights.get(v, ZERO) for v in s), ZERO)
+            for s in networkx_maximal_independent_sets(graph.n, graph.edges)
+        ),
+        default=ZERO,
+    )
 
 
 def reference_try_place(keys, seed, attempt):

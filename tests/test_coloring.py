@@ -17,6 +17,7 @@ from mmphf_lab.coloring import (
     greedy_coloring,
     is_proper_coloring,
     k_colorable,
+    max_mass,
     maximal_sets_bits,
     product_multiplicativity_certificates,
     verify_dual,
@@ -31,7 +32,6 @@ from mmphf_lab.graphs import (
     explicit_graph,
     or_product,
     product,
-    product_maximal_sets_bits,
 )
 from mmphf_lab.errors import EnumerationCapExceeded
 from mmphf_lab.rng import BitSampler
@@ -42,8 +42,10 @@ from oracles import (
     is_bipartite,
     networkx_maximal_independent_sets,
     reference_k_colorable,
+    reference_max_mass,
     shift_graph_coloring,
 )
+from test_acceptance import product_pool
 
 
 def complete(n):
@@ -188,7 +190,7 @@ class TestFractionalChromaticNumber:
         for g in (cycle(5), cycle(7), complete(4), build_graph(ConflictSpec(2, 5))):
             rep = fractional_chromatic_number(g)
             assert verify_primal(g.n, rep.primal)
-            assert verify_dual(maximal_sets_bits(g), rep.dual)
+            assert verify_dual(g, rep.dual)
             assert rep.primal.value == rep.dual.value == rep.chi_f
             assert rep.chi_f <= rep.chi
             for s in rep.primal.sets:
@@ -260,6 +262,14 @@ class TestOneVerifier:
         with pytest.raises(RuntimeError, match="not independent"):
             product_multiplicativity_certificates(complete(2), complete(2))
 
+    def test_dropped_column_is_rejected(self, monkeypatch):
+        # without its last maximal set the LP of C5 has value 3, and its dual
+        # puts mass above 1 on the missing set
+        real = coloring.maximal_sets_bits
+        monkeypatch.setattr(coloring, "maximal_sets_bits", lambda g, caps: real(g, caps)[:-1])
+        with pytest.raises(RuntimeError, match="dual"):
+            fractional_chromatic_number(cycle(5))
+
     def test_witness_with_more_colors_than_chi_is_rejected(self, monkeypatch):
         monkeypatch.setattr(coloring, "chromatic_number", lambda g, caps: (3, [0, 1, 2, 3, 4]))
         with pytest.raises(RuntimeError, match="range\\(chi\\)"):
@@ -282,6 +292,20 @@ class TestDualWitness:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             evaluate_dual_witness(cycle(5), {0: Fraction(1, 2)})
+
+    @pytest.mark.parametrize("outside", [5, -1])
+    def test_mass_off_the_graph_rejected(self, outside):
+        # half of mu off K1 would otherwise certify chi_f(K1) >= 2
+        with pytest.raises(ValueError, match="outside"):
+            evaluate_dual_witness(complete(1), {0: Fraction(1, 2), outside: Fraction(1, 2)})
+
+    @pytest.mark.parametrize(
+        "weights", [{0: 1, 1: 1, 2: 1}, {0: 1, -1: 1}, {0: 1, 2: 0}]
+    )
+    def test_dual_weight_off_the_graph_is_infeasible(self, weights):
+        # {0: 1, 1: 1, 2: 1} would otherwise certify chi_f(K2) >= 3
+        dual = DualWitness(weights={v: Fraction(w) for v, w in weights.items()})
+        assert not verify_dual(complete(2), dual)
 
     @pytest.mark.parametrize(
         "make", [lambda: cycle(5), lambda: complete(4), lambda: build_graph(ConflictSpec(2, 5))]
@@ -314,7 +338,7 @@ class TestProductCertificates:
         # K3 v K2 is K6: composed certificates are feasible there
         g = build_graph(product(_k_spec(3), _k_spec(2)))
         assert verify_primal(g.n, x)
-        assert verify_dual(maximal_sets_bits(g), y)
+        assert verify_dual(g, y)
 
     def test_unit_coloring_of_edgeless_product(self):
         r1 = fractional_chromatic_number(explicit_graph(range(2), []), include_chi=False)
@@ -335,7 +359,7 @@ class TestProductCertificates:
         r2 = fractional_chromatic_number(cycle(5), include_chi=False)
         y = compose_product_dual(y1, r2.dual, 5)
         g = build_graph(product(ExplicitSpec((0, 1), ((0, 1),)), _c5_spec()))
-        assert verify_dual(maximal_sets_bits(g), y)
+        assert verify_dual(g, y)
 
     def test_c5_c5_product_witness_matches_direct_lp(self):
         val, primal, dual = product_multiplicativity_certificates(cycle(5), cycle(5))
@@ -391,14 +415,39 @@ def _c5_spec():
     return ExplicitSpec(tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
 
 
-class TestProductMaximalSetsHelper:
-    def test_matches_direct_enumeration(self):
-        g1, g2 = cycle(5), complete(3)
-        composed = set(
-            product_maximal_sets_bits(maximal_sets_bits(g1), maximal_sets_bits(g2), g2.n)
-        )
-        direct = set(maximal_sets_bits(build_graph(product(_c5_spec(), _k_spec(3)))))
-        assert composed == direct
+def random_weights(n, rng):
+    """Nonnegative Fraction weights on range(n), zero on about 4 in 9."""
+    return {v: Fraction(max(0, rng.choice_index(9) - 4), 1 + rng.choice_index(6)) for v in range(n)}
+
+
+class TestMaxMass:
+    """max_mass over the support against the old sum over every maximal set."""
+
+    @staticmethod
+    def assert_matches_reference(g, draws=4, seed=7):
+        rng = BitSampler(seed)
+        assert max_mass(g, {}) == 0
+        for _ in range(draws):
+            weights = random_weights(g.n, rng)
+            assert max_mass(g, weights) == reference_max_mass(g, weights)
+
+    @pytest.mark.parametrize("u", range(3, 11))
+    def test_shift(self, u):
+        self.assert_matches_reference(build_graph(ShiftSpec(2, u)))
+
+    @pytest.mark.parametrize("m,M", [(2, M) for M in range(4, 9)] + [(3, M) for M in range(3, 7)])
+    def test_conflict(self, m, M):
+        self.assert_matches_reference(build_graph(ConflictSpec(m, M)))
+
+    def test_c5_c5(self):
+        self.assert_matches_reference(or_product(cycle(5), cycle(5)))
+
+    def test_product_pool(self):
+        pool = product_pool()
+        for i in range(len(pool)):
+            for j in range(i, len(pool)):
+                g = or_product(pool[i], pool[j])
+                self.assert_matches_reference(g, draws=2, seed=i * 16 + j)
 
 
 @st.composite
@@ -429,3 +478,15 @@ def test_chi_f_matches_highs(graph):
 def test_k_colorable_matches_reference_on_random_graphs(graph):
     n, edges = graph
     assert_matches_reference(explicit_graph(range(n), edges))
+
+
+@given(
+    random_graphs(max_n=12),
+    st.lists(st.fractions(min_value=0, max_value=3, max_denominator=6), min_size=12, max_size=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_max_mass_matches_reference_on_random_graphs(graph, values):
+    n, edges = graph
+    g = explicit_graph(range(n), edges)
+    weights = dict(zip(range(n), values))
+    assert max_mass(g, weights) == reference_max_mass(g, weights)

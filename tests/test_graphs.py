@@ -12,14 +12,11 @@ from mmphf_lab.graphs import (
     bron_kerbosch_maximal_sets,
     build_graph,
     explicit_graph,
-    flatten_product_vertex,
     independent_set_of,
     is_independent_set,
     iter_label_functions,
-    k_fold_conflict,
     maximal_independent_sets,
     product,
-    product_maximal_sets_bits,
     to_dimacs,
     vertex_count,
 )
@@ -161,29 +158,18 @@ class TestProduct:
         assert len(g2.edges) == len(g1.edges)
 
     def test_two_fold_conflict_matches_flat_adjacency(self):
-        spec = k_fold_conflict(2, 2, M=4)
+        spec = product(ConflictSpec(2, 4), ConflictSpec(2, 4, 4))
         g = build_graph(spec)
         assert g.n == vertex_count(spec) == 36
         flat = ConflictSpec(4, 8)  # concatenated tuples live in [1, 8]
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                v = flatten_product_vertex(g.vertices[i])
-                w = flatten_product_vertex(g.vertices[j])
-                assert g.has_edge(i, j) == adjacent(flat, v, w)
+                v, w = g.vertices[i], g.vertices[j]
+                assert g.has_edge(i, j) == adjacent(flat, v[0] + v[1], w[0] + w[1])
 
     def test_product_vertex_count(self):
         spec = product(ConflictSpec(2, 4), ConflictSpec(2, 5))
         assert vertex_count(spec) == 6 * 10
-
-    def test_maximal_sets_of_product_are_products(self):
-        # exhaustive cross-check on two small factors
-        f1, f2 = c5_spec(), k_spec(3)
-        g1, g2 = build_graph(f1), build_graph(f2)
-        mis1 = bron_kerbosch_maximal_sets(g1.adj_bits)
-        mis2 = bron_kerbosch_maximal_sets(g2.adj_bits)
-        composed = set(product_maximal_sets_bits(mis1, mis2, g2.n))
-        direct = set(bron_kerbosch_maximal_sets(build_graph(product(f1, f2)).adj_bits))
-        assert composed == direct
 
     def test_independent_sets_have_independent_projections(self):
         f1, f2 = c5_spec(), k_spec(2)

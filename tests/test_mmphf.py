@@ -24,7 +24,6 @@ from mmphf_lab.mmphf import (
     encode_bitstring,
     extract_coloring,
     keyset_from_text,
-    keyset_to_text,
     parameterize,
     query,
     size_lower_bound_bits,
@@ -51,10 +50,9 @@ class TestKeySet:
         assert [EXAMPLE.rank(q) for q in (2, 3, 6, 7)] == [0, 1, 2, 3]
         assert EXAMPLE.rank(5) == 2
 
-    def test_text_roundtrip(self):
-        text = keyset_to_text(EXAMPLE)
-        assert text.splitlines()[0] == "u=8"
-        assert keyset_from_text(text) == EXAMPLE
+    def test_text_parse(self):
+        assert keyset_from_text("u=8\n2\n3\n6\n7\n") == EXAMPLE
+        assert keyset_from_text("  u=8\n\n2\n 3\n6\n7") == EXAMPLE
 
     def test_text_header_required(self):
         with pytest.raises(ValueError):
