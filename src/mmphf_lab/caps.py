@@ -12,6 +12,7 @@ is the one place that compares a required count with its cap and raises
 from dataclasses import dataclass, fields
 
 from .errors import EnumerationCapExceeded
+from .tower import TowerInt, tower_cmp
 
 
 @dataclass(frozen=True)
@@ -26,10 +27,13 @@ class EnumerationCaps:
             if getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be positive")
 
-    def check(self, name: str, required: int) -> None:
-        """Raise EnumerationCapExceeded if required exceeds the cap called name."""
+    def check(self, name: str, required: TowerInt) -> None:
+        """Raise EnumerationCapExceeded if required exceeds the cap called name.
+
+        `required` may be a `tower.Pow2` lower bound on a count too large to build.
+        """
         limit = getattr(self, name)
-        if required > limit:
+        if tower_cmp(required, limit) > 0:
             raise EnumerationCapExceeded(name, required, limit)
 
 

@@ -283,7 +283,7 @@ def _parse_distribution(args) -> harddist.ExplicitTupleDistribution:
     if not outcomes:
         raise ValueError("the distribution has no outcomes")
     m = len(outcomes[0][0])
-    universe = args.universe or max(t[-1] for t, _ in outcomes)
+    universe = max(t[-1] for t, _ in outcomes) if args.universe is None else args.universe
     return harddist.ExplicitTupleDistribution(
         m=m, universe_size=universe, outcomes=tuple(sorted(outcomes))
     )

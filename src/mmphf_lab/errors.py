@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from .serialize import int_str
+
 
 class MmphfLabError(Exception):
     """Base class for all package-specific errors."""
@@ -17,8 +19,9 @@ class EnumerationCapExceeded(MmphfLabError):
         self.cap_name = cap_name
         self.required = required
         self.limit = limit
+        shown = int_str(required) if isinstance(required, int) else f"at least {required}"
         super().__init__(
-            f"enumeration cap exceeded: {cap_name} (required {required} > limit {limit})"
+            f"enumeration cap exceeded: {cap_name} (required {shown} > limit {limit})"
         )
 
 

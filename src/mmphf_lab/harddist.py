@@ -12,7 +12,9 @@ with fixed ratio r_i = 2^(k^(m-i+1)) between consecutive rungs.
 
 The canonical parameters k = m^m, S0 = k^(m+1) make every quantity an
 arbitrary-precision integer (the universe is 2^(S0)); generalized (k, S0)
-are first-class so that exact enumeration oracles stay desk-sized.
+are first-class so that exact enumeration oracles stay desk-sized.  The
+exact law is enumerated one exponent ladder s_0, ..., s_{m-1} at a time,
+and canonical m >= 3 is refused by name by the `max_outcomes` cap.
 
 Everything is deterministic given the recorded 64-bit seed.  Label
 functions over huge universes are supplied as element-wise callables and
@@ -21,11 +23,13 @@ never materialized.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, consistent, iter_label_functions, label_getter
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
 from .serialize import frac_str, int_str
+from .tower import Pow2
 
 
 @dataclass(frozen=True)
@@ -80,16 +84,12 @@ class WindowGeometry:
     @property
     def sizes(self) -> list:
         """w_{i,j} for j = 0..k; exact (a rung below exponent 0 is a Fraction)."""
-        return [_pow2(e) for e in self.exponents]
+        return [1 << e if e >= 0 else Fraction(1, 1 << -e) for e in self.exponents]
 
     @property
     def ratio(self) -> int:
         """Fixed quotient of consecutive rungs, r_i = 2^step."""
         return 2**self.step
-
-
-def _pow2(e: int):
-    return 1 << e if e >= 0 else Fraction(1, 1 << (-e))
 
 
 def window_geometry(params: SamplerParams, i: int, s_prev: int) -> WindowGeometry:
@@ -252,38 +252,33 @@ class ExplicitTupleDistribution:
 def enumerate_distribution(
     params: SamplerParams, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> ExplicitTupleDistribution:
-    """Exact law of (X_1, ..., X_m) by exhausting every (Y, Z) outcome."""
-    caps.check("max_outcomes", _outcome_count(params, 1, params.s0))
+    """Exact law of (X_1, ..., X_m), one pass per exponent ladder.
+
+    Z_1..Z_{m-1} fix the ladder (s_0, ..., s_{m-1}), whose 2^width Y outcomes
+    (width = s_0+...+s_{m-1}) each have mass 1/((k-1)^(m-1) * 2^width); Z_m
+    moves only S_m.  The cap counts every (Y, Z) outcome; from s0 = 2^16 on,
+    the lower bound 2^s0 is checked before that count is built.
+    """
+    m, k = params.m, params.k
+    if params.s0 >= 1 << 16:
+        caps.check("max_outcomes", Pow2(params.s0))
+    ladders = [(params.s0,)]
+    for i in range(1, m):
+        ladders = [
+            ladder + (s,)
+            for ladder in ladders
+            for s in window_geometry(params, i, ladder[-1]).exponents[1:k]
+        ]
+    caps.check("max_outcomes", (k - 1) * sum(1 << sum(ladder) for ladder in ladders))
     acc: dict = {}
-    max_x = 0
-
-    def rec(i: int, x: int, s: int, prob: Fraction, prefix: tuple):
-        nonlocal max_x
-        if i > params.m:
-            acc[prefix] = acc.get(prefix, Fraction(0)) + prob
-            max_x = max(max_x, x)
-            return
-        step = params.step(i)
-        py = Fraction(1, 1 << s)
-        pz = Fraction(1, params.k - 1)
-        for z in range(1, params.k):
-            s_next = s - step * z
-            for y in range(1, (1 << s) + 1):
-                rec(i + 1, x + y, s_next, prob * py * pz, prefix + (x + y,))
-
-    rec(1, 0, params.s0, Fraction(1), ())
-    outcomes = tuple(sorted(acc.items()))
-    return ExplicitTupleDistribution(m=params.m, universe_size=max_x, outcomes=outcomes)
-
-
-def _outcome_count(params: SamplerParams, i: int, s: int) -> int:
-    if i > params.m:
-        return 1
-    step = params.step(i)
-    total = 0
-    for z in range(1, params.k):
-        total += (1 << s) * _outcome_count(params, i + 1, s - step * z)
-    return total
+    for ladder in ladders:
+        p = Fraction(1, (k - 1) ** (m - 1) << sum(ladder))
+        for ys in product(*(range(1, (1 << s) + 1) for s in ladder)):
+            x = tuple(accumulate(ys))
+            acc[x] = acc[x] + p if x in acc else p
+    return ExplicitTupleDistribution(
+        m=m, universe_size=max(x[-1] for x in acc), outcomes=tuple(sorted(acc.items()))
+    )
 
 
 def success_probability(dist: ExplicitTupleDistribution, f: LabelFn) -> Fraction:

@@ -540,12 +540,13 @@ def parameterize(n: int, u: TowerInt) -> FoldParams:
         raise ValueError("n must be >= 2")
     if tower_cmp(u, 4) < 0:
         raise ValueError("u must be >= 4 so that m >= 1 is attainable")
-    m = 1
-    while tower_cmp(pow2(pow2((m + 1) ** 6)), u) <= 0:
-        m += 1
+    # the largest m in [1, n + 1] with 2^(2^(m^6)) <= u, by bisection
+    m = 1 + bisect_left(
+        range(2, n + 2), True, key=lambda j: tower_cmp(pow2(pow2(j**6)), u) > 0
+    )
     k = n // m
     if k < 1:
-        raise ValueError(f"m = {m} exceeds n = {n}; no blocks fit")
+        raise ValueError(f"m > n = {n}; no blocks fit")
     u_prime = ScaledPow2(mantissa=k, exponent=m ** (m * m + m))
     return FoldParams(
         n=n,

@@ -41,6 +41,8 @@ class BitSampler:
         self._rng = random.Random(self.seed)
 
     def bits(self, n: int) -> int:
+        if n >= 1 << 31:  # `getrandbits` takes its width as a C int
+            raise ValueError(f"cannot draw {n} random bits at once (at most 2^31 - 1)")
         return self._rng.getrandbits(n) if n > 0 else 0
 
     def uniform_pow2(self, s: int) -> int:

@@ -15,12 +15,17 @@ exact when c is not a power of two.
 from dataclasses import dataclass
 from typing import Union
 
+from .serialize import int_str
+
 _MATERIALIZE_BITS = 64
 
 
 @dataclass(frozen=True)
 class Pow2:
     exponent: Union[int, "Pow2"]
+
+    def __str__(self) -> str:
+        return tower_str(self)
 
 
 TowerInt = Union[int, Pow2]
@@ -52,13 +57,8 @@ def _cmp_pow2_int(p: Pow2, x: int) -> int:
     if x < 1:
         return 1
     bits = x.bit_length()  # 2^(bits-1) <= x < 2^bits
-    c = tower_cmp(p.exponent, bits - 1)
-    if c > 0:
-        return 1
-    if c < 0:
-        return -1
-    # 2^e = 2^(bits-1); equal exactly when x is that power of two
-    return 0 if x == 1 << (bits - 1) else -1
+    # on a tie 2^e = 2^(bits-1), equal exactly when x is that power of two
+    return tower_cmp(p.exponent, bits - 1) or (0 if x == 1 << (bits - 1) else -1)
 
 
 @dataclass(frozen=True)
@@ -79,29 +79,21 @@ class ScaledPow2:
                 return 1
             bits_v = e + m.bit_length()  # value in [2^(bits_v-1), 2^bits_v)
             bits_o = other.bit_length()
-            if bits_v > bits_o:
-                return 1
-            if bits_v < bits_o:
-                return -1
+            if bits_v != bits_o:
+                return 1 if bits_v > bits_o else -1
             v = m << e  # same bit length as an existing int, safe to build
             return (v > other) - (v < other)
-        # against 2^T: strip the power-of-two part of the mantissa
-        a = (m & -m).bit_length() - 1
-        odd = m >> a
-        if odd == 1:
-            return tower_cmp(e + a, other.exponent)
-        width = odd.bit_length()  # 2^(width-1) < odd < 2^width for odd > 1
-        if tower_cmp(other.exponent, e + a + width - 1) <= 0:
-            return 1  # 2^T <= 2^(e+a+width-1) < odd * 2^(e+a)
-        if tower_cmp(other.exponent, e + a + width) >= 0:
-            return -1  # 2^T >= 2^(e+a+width) > odd * 2^(e+a)
-        raise AssertionError("unreachable: integer exponent comparison is total")
+        # against 2^T, with 2^(w-1) <= m < 2^w
+        w = m.bit_length()
+        if m & (m - 1) == 0:
+            return tower_cmp(e + w - 1, other.exponent)
+        return 1 if tower_cmp(other.exponent, e + w - 1) <= 0 else -1
 
     def le(self, other: TowerInt) -> bool:
         return self.cmp(other) <= 0
 
     def __str__(self) -> str:
-        return f"{self.mantissa}*2^{self.exponent}"
+        return f"{self.mantissa}*2^{int_str(self.exponent)}"
 
 
 def parse_tower(text: str) -> TowerInt:

@@ -32,6 +32,7 @@ from .graphs import LabelFn, label_getter
 from .harddist import SamplerParams, sample as sample_trace
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
 from .serialize import frac_str
+from .tower import pow2
 
 KEPT = 0
 DIRECT = 1
@@ -337,7 +338,7 @@ def final_window_experiment(
         raise ValueError(f"index {index} outside [1, {params.m}]")
     tau = Fraction(tau)
     threshold = Fraction(2, params.m) if threshold is None else Fraction(threshold)
-    caps.check("max_vertices", 1 << params.s0)
+    caps.check("max_vertices", pow2(params.s0))
 
     conditioned = 0
     low = 0

@@ -14,7 +14,10 @@ rescan-every-vertex form, trying every colour of a domain, as the
 reference for the bucketed one; and shift graphs get the Erdős–Hajnal
 colouring as a chromatic-number bound that does not search; the dual
 check's largest independent-set mass is kept as a sum over every maximal
-set of the whole graph, as the reference for the one over the support.
+set of the whole graph, as the reference for the one over the support;
+the hard law is kept as its recursion over every (Y, Z) draw, with the
+outcome count walked by a second recursion, as the reference for the
+one pass per exponent ladder.
 """
 
 import math
@@ -23,7 +26,9 @@ from itertools import combinations
 
 import networkx as nx
 
+from mmphf_lab.caps import DEFAULT_CAPS
 from mmphf_lab.graphs import bit_indices
+from mmphf_lab.harddist import ExplicitTupleDistribution
 from mmphf_lab.rng import hash64
 
 ZERO = Fraction(0)
@@ -497,3 +502,41 @@ def _reference_color_core(graph, core, k, colors):
         return False
 
     return rec()
+
+
+def reference_enumerate_distribution(params, caps=DEFAULT_CAPS):
+    """Exact law of (X_1, ..., X_m) by exhausting every (Y, Z) outcome.
+
+    `harddist.enumerate_distribution` as it was before the ladder pass.
+    """
+    caps.check("max_outcomes", _outcome_count(params, 1, params.s0))
+    acc: dict = {}
+    max_x = 0
+
+    def rec(i: int, x: int, s: int, prob: Fraction, prefix: tuple):
+        nonlocal max_x
+        if i > params.m:
+            acc[prefix] = acc.get(prefix, Fraction(0)) + prob
+            max_x = max(max_x, x)
+            return
+        step = params.step(i)
+        py = Fraction(1, 1 << s)
+        pz = Fraction(1, params.k - 1)
+        for z in range(1, params.k):
+            s_next = s - step * z
+            for y in range(1, (1 << s) + 1):
+                rec(i + 1, x + y, s_next, prob * py * pz, prefix + (x + y,))
+
+    rec(1, 0, params.s0, Fraction(1), ())
+    outcomes = tuple(sorted(acc.items()))
+    return ExplicitTupleDistribution(m=params.m, universe_size=max_x, outcomes=outcomes)
+
+
+def _outcome_count(params, i: int, s: int) -> int:
+    if i > params.m:
+        return 1
+    step = params.step(i)
+    total = 0
+    for z in range(1, params.k):
+        total += (1 << s) * _outcome_count(params, i + 1, s - step * z)
+    return total

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from fresh import run_cli_fresh
 from mmphf_lab import mmphf, serialize
 from mmphf_lab.cli import main
 from mmphf_lab.serialize import int_str
@@ -74,11 +75,7 @@ class TestChi:
 
     def test_chi_search_node_cap_fresh_process(self):
         # shift(2,17) needs more than the default 10**6 DSATUR nodes
-        proc = subprocess.run(
-            [sys.executable, "-m", "mmphf_lab.cli", "chi", "--graph", "shift", "--n", "2",
-             "--u", "17"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_cli_fresh("chi", "--graph", "shift", "--n", "2", "--u", "17", timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "max_search_nodes" in proc.stderr
 
@@ -205,10 +202,9 @@ class TestMmphfVerify:
         assert code == 0 and json.loads(out)["ok"]
 
     def test_explicit_set_near_2_to_the_64_fresh_process(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "mmphf_lab.cli", "mmphf-verify", "--scheme", "explicit-set",
-             "--keys", "5,18446744073709551000", "--u", "18446744073709551615"],
-            capture_output=True, text=True, timeout=10,
+        proc = run_cli_fresh(
+            "mmphf-verify", "--scheme", "explicit-set",
+            "--keys", "5,18446744073709551000", "--u", "18446744073709551615",
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
@@ -389,11 +385,14 @@ class TestIoErrors:
                  "--tau", "1/0"],
                 None,
             ),
+            (["sample", "--m", "4", "--defaults"], None),
+            (["adversary", "--tuples", "1,2=1", "--universe", "0"], None),
         ],
         ids=[
             "out", "keys-file", "dist-file", "empty-dist",
             "dist-no-outcomes", "dist-list", "dist-float-prob", "dist-int-tuple",
             "tuples-zero-denominator", "dist-zero-denominator", "tau-zero-denominator",
+            "sample-wider-than-a-draw", "adversary-universe-0",
         ],
     )
     def test_exit_2(self, capsys, tmp_path, argv, dist_text):
@@ -405,6 +404,30 @@ class TestIoErrors:
         assert code == 2 and out == ""
         assert err.startswith("mmphf-lab: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestAstronomicalInputs:
+    """Canonical and tower-sized inputs end cleanly in a child with bounded memory and time."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_canonical_enumerate_names_the_cap(self, m):
+        proc = run_cli_fresh("enumerate", "--m", str(m), "--defaults")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("mmphf-lab: enumeration cap exceeded: max_outcomes ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_parameterize_m_beyond_n(self):
+        proc = run_cli_fresh("parameterize", "--n", "1024", "--u", "2^2^2^2^64")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "mmphf-lab: error: m > n = 1024; no blocks fit\n"
+
+    def test_parameterize_exponent_past_the_digit_limit(self):
+        proc = run_cli_fresh("parameterize", "--n", "1000", "--u", "2^2^1000000000000")
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["m"] == 100 and data["k"] == 10
+        assert data["u_prime"] == "10*2^" + int_str(100**10100)
+        assert data["u_prime_le_u"] is True and data["m_le_sqrt_n"] is False
 
 
 class TestUsage:
@@ -419,10 +442,7 @@ class TestUsage:
         assert code == 2
 
     def test_console_script_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "mmphf_lab.cli", "--version"],
-            capture_output=True, text=True,
-        )
+        proc = run_cli_fresh("--version")
         assert proc.returncode == 0
         assert "mmphf-lab" in proc.stdout
 

@@ -22,6 +22,10 @@ from mmphf_lab.harddist import (
     window_geometry,
 )
 from mmphf_lab.rng import derive_seed
+from mmphf_lab.serialize import int_str
+from mmphf_lab.tower import Pow2
+
+from oracles import reference_enumerate_distribution
 
 
 TOY = SamplerParams(2, 2, 8)
@@ -217,6 +221,61 @@ class TestEnumerate:
         dist = enumerate_distribution(TOY)
         f = {e: (1 if e <= 256 else 2) for e in range(1, 273)}
         assert success_probability(dist, f) == Fraction(17, 512)
+
+
+def _required(params, caps=EnumerationCaps(max_outcomes=1)):
+    with pytest.raises(EnumerationCapExceeded) as err:
+        reference_enumerate_distribution(params, caps)
+    return err.value.required
+
+
+# (m, k, s0) for m in 1..3, k in 2..4 and the three smallest s0 of each,
+# kept where the outcome count fits under the default cap
+LADDER_GRID = [
+    SamplerParams(m, k, k ** (m + 1) + d) for m in (1, 2, 3) for k in (2, 3, 4) for d in (0, 1, 2)
+]
+FITS = [p for p in LADDER_GRID if _required(p) <= EnumerationCaps().max_outcomes]
+
+
+class TestLadderPass:
+    """The pass over exponent ladders against the recursion over every (Y, Z) draw."""
+
+    @pytest.mark.parametrize("params", FITS, ids=str)
+    def test_same_law_as_the_recursion(self, params):
+        assert enumerate_distribution(params) == reference_enumerate_distribution(params)
+
+    def test_twelve_cases_fit(self):
+        assert len(FITS) == 12
+        assert sorted({(p.m, p.k) for p in FITS}) == [(1, 2), (1, 3), (1, 4), (2, 2)]
+
+    @pytest.mark.parametrize(
+        "params",
+        [SamplerParams(2, 2, 8), SamplerParams(1, 4, 16), SamplerParams(2, 3, 27),
+         SamplerParams(3, 2, 16), SamplerParams(3, 4, 258)],
+        ids=str,
+    )
+    def test_same_count_just_over_the_cap(self, params):
+        caps = EnumerationCaps(max_outcomes=_required(params) - 1)
+        with pytest.raises(EnumerationCapExceeded) as new:
+            enumerate_distribution(params, caps)
+        with pytest.raises(EnumerationCapExceeded) as ref:
+            reference_enumerate_distribution(params, caps)
+        assert new.value.required == ref.value.required
+        assert str(new.value) == str(ref.value)
+
+    def test_wide_s0_is_refused_by_its_lower_bound(self):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            enumerate_distribution(SamplerParams(1, 2, 1 << 16))
+        assert err.value.cap_name == "max_outcomes"
+        assert err.value.required == Pow2(1 << 16)
+        assert "(required at least 2^65536 > limit 10000000)" in str(err.value)
+
+    def test_count_past_the_digit_limit_is_printed_whole(self):
+        # (k-1) * 2^(16000 + 15996): about 9,600 decimal digits
+        with pytest.raises(EnumerationCapExceeded) as err:
+            enumerate_distribution(SamplerParams(2, 2, 16000))
+        assert err.value.required == 1 << 31996
+        assert f"(required {int_str(1 << 31996)} > limit" in str(err.value)
 
 
 class TestSuccessProbability:

@@ -29,7 +29,7 @@ from mmphf_lab.mmphf import (
     size_lower_bound_bits,
 )
 from mmphf_lab.rng import BitSampler
-from mmphf_lab.tower import Pow2, ScaledPow2, parse_tower, pow2
+from mmphf_lab.tower import Pow2, ScaledPow2, parse_tower, pow2, tower_cmp
 
 from oracles import reference_subset_rank, reference_subset_unrank, reference_try_place
 
@@ -335,3 +335,17 @@ class TestParameterize:
     def test_json(self):
         data = parameterize(1024, parse_tower("2^2^64")).to_json_dict()
         assert data["m"] == 2 and data["u_prime"] == "512*2^64"
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 99, 100, 1000, 1024])
+    def test_bisection_matches_the_counting_loop(self, n):
+        universes = [4, 15, 16, 17, 2**64 - 1, 2**64, 2**65, pow2(pow2(64)), pow2(pow2(729)),
+                     Pow2(Pow2(100**6 - 1)), Pow2(Pow2(100**6)), Pow2(Pow2(2**64))]
+        for u in universes:
+            m = 1  # the search before bisection, one m at a time
+            while tower_cmp(pow2(pow2((m + 1) ** 6)), u) <= 0:
+                m += 1
+            if m > n:
+                with pytest.raises(ValueError, match=f"m > n = {n}"):
+                    parameterize(n, u)
+            else:
+                assert parameterize(n, u).m == m

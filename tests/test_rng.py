@@ -46,3 +46,10 @@ def test_hash64_depends_on_all_inputs():
 def test_mix64_is_64_bit():
     for x in (0, 1, 2**63, 2**64 - 1):
         assert 0 <= mix64(x) < 2**64
+
+
+def test_draw_wider_than_getrandbits_takes_is_a_value_error():
+    # getrandbits takes its width as a C int; 2^40 bits is the canonical m = 4 s0
+    for n in (1 << 31, 1 << 40):
+        with pytest.raises(ValueError, match="random bits"):
+            BitSampler(0).bits(n)

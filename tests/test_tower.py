@@ -78,6 +78,20 @@ class TestScaledPow2:
         with pytest.raises(ValueError):
             ScaledPow2(0, 3)
 
+    def test_against_pow2_matches_the_built_values(self):
+        for c in range(1, 70):
+            for e in range(0, 140, 3):
+                v = c << e
+                for t in range(200):
+                    assert ScaledPow2(c, e).cmp(Pow2(t)) == (v > 1 << t) - (v < 1 << t)
+                # 2^128 is still built; the deeper towers exceed every c * 2^e here
+                assert ScaledPow2(c, e).cmp(Pow2(Pow2(7))) == (v > 1 << 128) - (v < 1 << 128)
+                for deep in (Pow2(Pow2(8)), Pow2(Pow2(Pow2(6))), Pow2(Pow2(Pow2(Pow2(64))))):
+                    assert ScaledPow2(c, e).cmp(deep) == -1
+
+    def test_str_of_an_exponent_past_the_digit_limit(self):
+        assert str(ScaledPow2(10, 100**10100)) == "10*2^1" + "0" * 20200
+
 
 class TestParse:
     def test_plain_int(self):
@@ -97,3 +111,4 @@ class TestParse:
     def test_str_roundtrip(self):
         assert tower_str(parse_tower("2^2^100")) == "2^2^100"
         assert tower_str(65536) == "65536"
+        assert str(parse_tower("2^2^100")) == "2^2^100"

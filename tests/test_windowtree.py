@@ -269,3 +269,11 @@ class TestFinalWindowExperiment:
                 params, lambda e: 1, index=1, tau=Fraction(1, 2), trials=1, seed=0,
                 caps=EnumerationCaps(max_vertices=1000),
             )
+
+    def test_window_cap_of_a_wide_s0_is_checked_on_its_tower(self):
+        # 2^(2^20) is never built: the cap sees Pow2(2^20)
+        with pytest.raises(EnumerationCapExceeded, match=r"required at least 2\^1048576 > limit"):
+            final_window_experiment(
+                SamplerParams(1, 2, 1 << 20), lambda e: 1, index=1, tau=Fraction(1, 2),
+                trials=1, seed=0,
+            )
