@@ -2,7 +2,8 @@
 
 Every exhaustive enumeration in the package (graph vertices, label
 functions, distribution outcomes, the nodes of the chromatic-number
-search) is guarded by a cap from this module.
+search) is guarded by a cap from this module, and so is the one exact
+integer too wide to build, the exponent of `mmphf.parameterize`'s u'.
 The true parameters of the constructions are astronomically large and
 must be rejected loudly rather than truncated: `EnumerationCaps.check`
 is the one place that compares a required count with its cap and raises
@@ -21,6 +22,7 @@ class EnumerationCaps:
     max_label_functions: int = 3**10
     max_outcomes: int = 10**7
     max_search_nodes: int = 10**6
+    max_exponent_bits: int = 10**6
 
     def __post_init__(self):
         for f in fields(self):

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+        sp.add_argument("--seed", type=_int_in(0, 1 << 64), default=0, help="64-bit master seed")
         sp.add_argument("--max-vertices", type=int, default=DEFAULT_CAPS.max_vertices)
         sp.add_argument(
             "--max-label-functions", type=int, default=DEFAULT_CAPS.max_label_functions
@@ -73,6 +73,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-outcomes", type=int, default=DEFAULT_CAPS.max_outcomes)
         flags(sp)
     return p
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an int in [lo, hi), or at least lo when hi is None."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value >= hi):
+            bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
 
 
 def _metadata(args) -> dict:
@@ -213,7 +227,7 @@ def _params(args) -> harddist.SamplerParams:
 
 def _sample_flags(sp):
     _params_flags(sp)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--trials", type=_int_in(1), default=1)
 
 
 def _sample(args):
@@ -324,17 +338,17 @@ def _prune(args):
 
 
 def _case1_flags(sp):
-    sp.add_argument("--instances", type=int, default=100)
-    sp.add_argument("--max-arity", type=int, default=4)
-    sp.add_argument("--max-depth", type=int, default=2)
+    sp.add_argument("--instances", type=_int_in(1), default=100)
+    sp.add_argument("--max-arity", type=_int_in(2), default=4)
+    sp.add_argument("--max-depth", type=_int_in(1), default=2)
 
 
 def _case1_sweep(args):
     records = []
     for inst in range(args.instances):
         rng = BitSampler(derive_seed(args.seed, inst))
-        arity = 2 + rng.choice_index(max(args.max_arity - 1, 1))
-        depth = 1 + rng.choice_index(max(args.max_depth, 1))
+        arity = 2 + rng.choice_index(args.max_arity - 1)
+        depth = 1 + rng.choice_index(args.max_depth)
         leaf = 1 + rng.choice_index(3)
         length = leaf * arity**depth
         spec = windowtree.WindowTreeSpec(arity=arity, depth=depth, start=1, length=length)
@@ -417,7 +431,7 @@ def _bound_report(args):
 
 def _sx_flags(sp):
     sp.add_argument("--scheme", choices=mmphf.SCHEMES, default=mmphf.SCHEME_EXPLICIT_SET)
-    sp.add_argument("--max-d", type=int, default=10)
+    sp.add_argument("--max-d", type=_int_in(1), default=10)
 
 
 def _sx_roundtrip(args):
@@ -434,7 +448,8 @@ def _parameterize_flags(sp):
 
 
 def _parameterize(args):
-    return mmphf.parameterize(args.n, parse_tower(args.u)).to_json_dict(), None, True
+    fp = mmphf.parameterize(args.n, parse_tower(args.u), _caps(args))
+    return fp.to_json_dict(), None, True
 
 
 # name -> (help, CSV columns, flags, body); bodies return (payload, rows, ok),

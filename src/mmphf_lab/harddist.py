@@ -28,7 +28,7 @@ from itertools import accumulate, product
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, consistent, iter_label_functions, label_getter
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
-from .serialize import frac_str, int_str
+from .serialize import exact_decimals, frac_str
 from .tower import Pow2
 
 
@@ -130,19 +130,26 @@ class SampleTrace:
         return (lo, lo + (1 << self.s_prev(i)) - 1)
 
     def to_json_dict(self) -> dict:
+        """Every field printed exactly, each draw Y_i converted to decimal once.
+
+        Where x_i = x_{i-1} + y_i holds in ints, X_i is printed from the exact
+        Decimal sum D(X_{i-1}) + D(Y_i); any other X_i is converted itself.
+        """
+        iterations = []
+        with exact_decimals() as to_decimal:
+            x_prev, d_prev = 0, to_decimal(0)
+            for i in range(self.params.m):
+                y, x = self.ys[i], self.xs[i]
+                d_y = to_decimal(y)
+                d_x = d_prev + d_y if x == x_prev + y else to_decimal(x)
+                z, s = to_decimal(self.zs[i]), to_decimal(self.ss[i])
+                iterations.append({"y": str(d_y), "z": str(z), "x": str(d_x), "s": str(s)})
+                x_prev, d_prev = x, d_x
         return {
             "seed": self.seed,
             "generator": GENERATOR_NAME,
             "params": {"m": self.params.m, "k": self.params.k, "s0": self.params.s0},
-            "iterations": [
-                {
-                    "y": int_str(self.ys[i]),
-                    "z": int_str(self.zs[i]),
-                    "x": int_str(self.xs[i]),
-                    "s": int_str(self.ss[i]),
-                }
-                for i in range(self.params.m)
-            ],
+            "iterations": iterations,
         }
 
 

@@ -534,8 +534,12 @@ class FoldParams:
         }
 
 
-def parameterize(n: int, u: TowerInt) -> FoldParams:
-    """Exact (m, k, u') for a target (n, u); u may be a tower descriptor."""
+def parameterize(n: int, u: TowerInt, caps: EnumerationCaps = DEFAULT_CAPS) -> FoldParams:
+    """Exact (m, k, u') for a target (n, u); u may be a tower descriptor.
+
+    The exponent m^(m^2+m) of u' is built only if its bound of
+    (m^2+m) * bit_length(m) bits is within `max_exponent_bits`.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if tower_cmp(u, 4) < 0:
@@ -547,6 +551,7 @@ def parameterize(n: int, u: TowerInt) -> FoldParams:
     k = n // m
     if k < 1:
         raise ValueError(f"m > n = {n}; no blocks fit")
+    caps.check("max_exponent_bits", (m * m + m) * m.bit_length())
     u_prime = ScaledPow2(mantissa=k, exponent=m ** (m * m + m))
     return FoldParams(
         n=n,

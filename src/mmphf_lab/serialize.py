@@ -7,6 +7,7 @@ interval.
 """
 
 import decimal
+from contextlib import contextmanager
 from fractions import Fraction
 
 # Integers of at most this many bits go to Decimal(n) whole; wider ones are split.
@@ -33,12 +34,23 @@ def parse_frac(s: str) -> Fraction:
 def int_str(x: int) -> str:
     """Decimal string of an arbitrary-precision integer, equal to `str(x)`.
 
+    On Python 3.11 `str(int)` is quadratic; this is O(M(n) log n).  It never
+    reads or sets the interpreter's int-to-str digit limit.
+    """
+    with exact_decimals() as to_decimal:
+        return str(to_decimal(x))
+
+
+@contextmanager
+def exact_decimals():
+    """Yield `to_decimal(x)`, the exact `Decimal` of an integer x.
+
     Divide and conquer through `decimal`, the method CPython 3.12 ships as
     `_pylong`: split x = hi * 2^h + lo at half its bit length and multiply
-    hi by a cached Decimal(2)^h, exactly, under `MAX_PREC`.  Up to
-    `_LEAF_BITS` bits `Decimal(n)` converts directly.  On Python 3.11
-    `str(int)` is quadratic; this is O(M(n) log n).  It never reads or
-    sets the interpreter's int-to-str digit limit.
+    hi by a cached Decimal(2)^h.  Up to `_LEAF_BITS` bits `Decimal(n)`
+    converts directly.  Every call inside one `with` shares the cache of
+    powers, and the block runs under `MAX_PREC` with `Inexact` trapped, so
+    integer sums and products of the yielded values are exact as well.
     """
     D = decimal.Decimal
     pow2 = {}
@@ -55,9 +67,13 @@ def int_str(x: int) -> str:
         hi = n >> h
         return convert(hi, w - h) * power(h) + convert(n - (hi << h), h)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(x), x.bit_length()))
-    return "-" + digits if x < 0 else digits
+    def to_decimal(x: int) -> decimal.Decimal:
+        d = convert(abs(x), x.bit_length())
+        return d.copy_negate() if x < 0 else d
+
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact],
+    )
+    with decimal.localcontext(exact):
+        yield to_decimal

@@ -17,7 +17,9 @@ check's largest independent-set mass is kept as a sum over every maximal
 set of the whole graph, as the reference for the one over the support;
 the hard law is kept as its recursion over every (Y, Z) draw, with the
 outcome count walked by a second recursion, as the reference for the
-one pass per exponent ladder.
+one pass per exponent ladder; and a sample trace's JSON record is kept
+with every field converted by itself through `int_str`, as the reference
+for the one that prints each X_i from the Decimal sum X_{i-1} + Y_i.
 """
 
 import math
@@ -29,7 +31,8 @@ import networkx as nx
 from mmphf_lab.caps import DEFAULT_CAPS
 from mmphf_lab.graphs import bit_indices
 from mmphf_lab.harddist import ExplicitTupleDistribution
-from mmphf_lab.rng import hash64
+from mmphf_lab.rng import GENERATOR_NAME, hash64
+from mmphf_lab.serialize import int_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -540,3 +543,21 @@ def _outcome_count(params, i: int, s: int) -> int:
     for z in range(1, params.k):
         total += (1 << s) * _outcome_count(params, i + 1, s - step * z)
     return total
+
+
+def reference_trace_json(trace):
+    """`harddist.SampleTrace.to_json_dict` as it was: `int_str` on every field."""
+    return {
+        "seed": trace.seed,
+        "generator": GENERATOR_NAME,
+        "params": {"m": trace.params.m, "k": trace.params.k, "s0": trace.params.s0},
+        "iterations": [
+            {
+                "y": int_str(trace.ys[i]),
+                "z": int_str(trace.zs[i]),
+                "x": int_str(trace.xs[i]),
+                "s": int_str(trace.ss[i]),
+            }
+            for i in range(trace.params.m)
+        ],
+    }

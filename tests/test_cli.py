@@ -10,6 +10,7 @@ import pytest
 from fresh import run_cli_fresh
 from mmphf_lab import mmphf, serialize
 from mmphf_lab.cli import main
+from mmphf_lab.rng import derive_seed
 from mmphf_lab.serialize import int_str
 
 
@@ -406,6 +407,60 @@ class TestIoErrors:
         assert "Traceback" not in err
 
 
+class TestFlagRanges:
+    """--seed outside [0, 2^64) and counts below their floor are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sample", "--m", "2", "--defaults", "--seed", str(2**64 + 1)], "--seed"),
+            (["sample", "--m", "2", "--defaults", "--seed", str(2**64)], "--seed"),
+            (["sample", "--m", "2", "--defaults", "--seed", "-5"], "--seed"),
+            (["chi", "--graph", "shift", "--n", "2", "--u", "4", "--seed", "-1"], "--seed"),
+            (["sample", "--m", "2", "--defaults", "--trials", "-1"], "--trials"),
+            (["sample", "--m", "2", "--defaults", "--trials", "0"], "--trials"),
+            (["case1-sweep", "--instances", "0"], "--instances"),
+            (["case1-sweep", "--instances", "-3"], "--instances"),
+            (["case1-sweep", "--max-arity", "1"], "--max-arity"),
+            (["case1-sweep", "--max-depth", "0"], "--max-depth"),
+            (["case1-sweep", "--max-arity", "1", "--max-depth", "-2"], "--max-arity"),
+            (["sx-roundtrip", "--max-d", "-1"], "--max-d"),
+            (["sx-roundtrip", "--max-d", "0"], "--max-d"),
+        ],
+    )
+    def test_exit_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"error: argument {flag}: must be " in err
+
+    def test_non_integer_is_still_an_invalid_int(self, capsys):
+        code, _, err = run_cli(capsys, "sample", "--m", "2", "--defaults", "--seed", "x")
+        assert code == 2 and "argument --seed: invalid int value: 'x'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["case1-sweep", "--instances", "1", "--max-arity", "2", "--max-depth", "1"],
+            ["sx-roundtrip", "--max-d", "1"],
+            ["sample", "--m", "2", "--defaults", "--trials", "1"],
+        ],
+    )
+    def test_floors_are_accepted(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--m", "2", "--defaults", "--seed", str(2**64 - 1))
+        data = json.loads(out)
+        assert code == 0 and data["meta"]["seed"] == 2**64 - 1
+        assert data["traces"][0]["seed"] == derive_seed(2**64 - 1, 0)
+
+    def test_floor_of_case1_sweep_builds_binary_trees_of_depth_1(self, capsys):
+        code, out, _ = run_cli(capsys, "case1-sweep", "--instances", "5", "--max-arity", "2",
+                               "--max-depth", "1")
+        assert code == 0
+        assert {(r["arity"], r["depth"]) for r in json.loads(out)["instances"]} == {(2, 1)}
+
+
 class TestAstronomicalInputs:
     """Canonical and tower-sized inputs end cleanly in a child with bounded memory and time."""
 
@@ -420,6 +475,12 @@ class TestAstronomicalInputs:
         proc = run_cli_fresh("parameterize", "--n", "1024", "--u", "2^2^2^2^64")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "mmphf-lab: error: m > n = 1024; no blocks fit\n"
+
+    def test_parameterize_exponent_too_wide_names_the_cap(self):
+        proc = run_cli_fresh("parameterize", "--n", "1000000", "--u", "2^2^1" + "0" * 36)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_exponent_bits "
+                               "(required 20000020000000 > limit 1000000)\n")
 
     def test_parameterize_exponent_past_the_digit_limit(self):
         proc = run_cli_fresh("parameterize", "--n", "1000", "--u", "2^2^1000000000000")

@@ -299,7 +299,8 @@ class TestValidation:
             ConflictSpec(3, 2)
 
     def test_caps_validation(self):
-        for name in ("max_vertices", "max_label_functions", "max_outcomes", "max_search_nodes"):
+        for name in ("max_vertices", "max_label_functions", "max_outcomes", "max_search_nodes",
+                     "max_exponent_bits"):
             with pytest.raises(ValueError, match=name):
                 EnumerationCaps(**{name: 0})
 

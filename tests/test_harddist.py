@@ -1,9 +1,13 @@
+import decimal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from mmphf_lab import harddist, serialize
 from mmphf_lab.caps import EnumerationCaps
+from mmphf_lab.cli import main
 from mmphf_lab.coloring import evaluate_dual_witness
 from mmphf_lab.errors import EnumerationCapExceeded
 from mmphf_lab.graphs import ConflictSpec, build_graph, maximal_independent_sets
@@ -25,7 +29,7 @@ from mmphf_lab.rng import derive_seed
 from mmphf_lab.serialize import int_str
 from mmphf_lab.tower import Pow2
 
-from oracles import reference_enumerate_distribution
+from oracles import reference_enumerate_distribution, reference_trace_json
 
 
 TOY = SamplerParams(2, 2, 8)
@@ -141,6 +145,91 @@ class TestSample:
         assert data["params"] == {"m": 2, "k": 2, "s0": 8}
         assert len(data["iterations"]) == 2
         assert all(set(it) == {"y", "z", "x", "s"} for it in data["iterations"])
+
+
+class TestTraceJson:
+    """`to_json_dict` prints every field as `int_str` does, one wide conversion per draw."""
+
+    @pytest.mark.parametrize("m, seeds", [(2, range(20)), (3, range(4))])
+    def test_canonical_traces_match_the_reference(self, m, seeds):
+        params = SamplerParams.canonical(m)
+        for seed in seeds:
+            tr = sample(params, derive_seed(seed, 0))
+            assert tr.to_json_dict() == reference_trace_json(tr), seed
+
+    @pytest.mark.parametrize(
+        "params",
+        [TOY, SamplerParams(1, 2, 4), SamplerParams(3, 3, 81), SamplerParams(4, 2, 32),
+         SamplerParams(4, 2, 5000), SamplerParams(5, 2, 64)],
+    )
+    def test_toy_traces_match_the_reference(self, params):
+        for seed in range(30):
+            tr = sample(params, seed)
+            assert tr.to_json_dict() == reference_trace_json(tr), seed
+
+    @pytest.mark.parametrize(
+        "ys, zs, xs, ss",
+        [
+            ((5, 3), (1, 1), (5, 9), (4, 2)),  # x_2 != x_1 + y_2
+            ((5, 3), (1, 1), (6, 9), (4, 2)),  # x_1 != y_1, then x_2 = x_1 + y_2
+            ((0, 0), (0, 0), (0, 0), (0, 0)),
+            ((5, -5), (1, -1), (5, 0), (-4, 0)),  # a sum that cancels to 0
+            ((-7, -3), (-1, 1), (-7, -10), (-2, -3)),
+            ((1 << 9000, -(1 << 9000) - 1), (1, 1), (1 << 9000, -1), (4, 2)),
+            ((3**9000, 7**4000), (1, 1), (3**9000, 3**9000 + 7**4000 + 1), (4, 2)),
+            ((-(3**9000), 3**9000), (1, 1), (-(3**9000), 0), (-(5**5000), 2)),
+        ],
+        ids=["x-off", "x1-off", "zeros", "cancel", "negative", "wide-negative",
+             "wide-x-off", "wide-cancel"],
+    )
+    def test_hand_built_traces_match_the_reference(self, ys, zs, xs, ss):
+        tr = SampleTrace(params=TOY, seed=1, ys=ys, zs=zs, xs=xs, ss=ss)
+        assert tr.to_json_dict() == reference_trace_json(tr)
+
+    def test_the_callers_decimal_context_is_not_used(self):
+        trs = [sample(SamplerParams.canonical(2), 3),
+               SampleTrace(params=TOY, seed=1, ys=(-(3**9000), 3**9000), zs=(1, 1),
+                           xs=(-(3**9000), 0), ss=(4, 2))]
+        with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)):
+            assert [tr.to_json_dict() for tr in trs] == [reference_trace_json(tr) for tr in trs]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_canonical_m3_artifact_has_the_reference_bytes(self, capsys, monkeypatch, fmt):
+        argv = ["sample", "--m", "3", "--defaults", "--trials", "2", "--seed", "0",
+                "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(SampleTrace, "to_json_dict", reference_trace_json)
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out
+
+    def test_one_wide_conversion_per_draw(self, monkeypatch):
+        widths = []
+        real = serialize.exact_decimals
+
+        @contextmanager
+        def counted():
+            with real() as to_decimal:
+                def count(x):
+                    widths.append(x.bit_length())
+                    return to_decimal(x)
+                yield count
+
+        # int_str looks the converter up in serialize, to_json_dict in harddist
+        monkeypatch.setattr(serialize, "exact_decimals", counted)
+        monkeypatch.setattr(harddist, "exact_decimals", counted)
+        tr = sample(SamplerParams.canonical(3), derive_seed(0, 0))
+        assert min(y.bit_length() for y in tr.ys) > serialize._LEAF_BITS
+
+        def wide_conversions(to_json):
+            widths.clear()
+            data = to_json(tr)
+            return sum(w > serialize._LEAF_BITS for w in widths), data
+
+        fast, data = wide_conversions(SampleTrace.to_json_dict)
+        slow, expected = wide_conversions(reference_trace_json)
+        assert data == expected
+        assert (fast, slow) == (3, 6)
 
 
 class TestVerifyTrace:

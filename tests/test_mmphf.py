@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmphf_lab import mmphf
-from mmphf_lab.errors import CorruptIndexError, SchemeViolationError
+from mmphf_lab.caps import EnumerationCaps
+from mmphf_lab.errors import CorruptIndexError, EnumerationCapExceeded, SchemeViolationError
 from mmphf_lab.graphs import ConflictSpec
 from mmphf_lab.mmphf import (
     SCHEME_BROKEN,
@@ -335,6 +336,26 @@ class TestParameterize:
     def test_json(self):
         data = parameterize(1024, parse_tower("2^2^64")).to_json_dict()
         assert data["m"] == 2 and data["u_prime"] == "512*2^64"
+
+    def test_exponent_bits_cap_boundary(self):
+        # m = 2: the bound on the bits of 2^(2^2+2) is (4+2) * 2 = 12
+        u = parse_tower("2^2^64")
+        assert parameterize(1024, u, EnumerationCaps(max_exponent_bits=12)).m == 2
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            parameterize(1024, u, EnumerationCaps(max_exponent_bits=11))
+        assert (exc.value.cap_name, exc.value.required) == ("max_exponent_bits", 12)
+
+    def test_exponent_bits_bound_holds(self):
+        for m in (1, 2, 3, 7, 8, 100, 127, 128):
+            assert (m ** (m * m + m)).bit_length() <= (m * m + m) * m.bit_length()
+
+    def test_default_cap_admits_m_100(self):
+        # the widest exponent the tests and demos build; m = 10^6 runs in a
+        # bounded child in test_cli.py::TestAstronomicalInputs
+        fp = parameterize(1000, Pow2(Pow2(100**6)))
+        assert fp.m == 100 and fp.u_prime.exponent == 100 ** (100 * 100 + 100)
+        with pytest.raises(EnumerationCapExceeded, match="required 70700 > limit 70699"):
+            parameterize(1000, Pow2(Pow2(100**6)), EnumerationCaps(max_exponent_bits=70699))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 99, 100, 1000, 1024])
     def test_bisection_matches_the_counting_loop(self, n):
