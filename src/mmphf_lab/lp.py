@@ -148,17 +148,16 @@ class _RevisedSimplex:
             self._pivot(enter, leave_pos, d)
 
     def _prices(self):
-        # duals y = Y / det: the sum of the B^-1 rows at structural positions
-        y = [0] * self.n
-        for row, j in zip(self.adj, self.basis):
-            if j < self.nc:
-                y = [a + b for a, b in zip(y, row)]
-        return y
+        # duals y = Y / det: the column sums of the B^-1 rows at structural
+        # positions (a feasible basis holds at least one structural column)
+        nc = self.nc
+        rows = [row for row, j in zip(self.adj, self.basis) if j < nc]
+        return [sum(col) for col in zip(*rows)]
 
     def _reduced_cost(self, j, y):
         # det times the reduced cost, so it has the reduced cost's sign
         if j < self.nc:
-            return self.det - sum(y[r] for r in self.col_rows[j])
+            return self.det - sum(map(y.__getitem__, self.col_rows[j]))
         return y[j - self.nc]
 
     def _entering(self, y):
@@ -168,7 +167,7 @@ class _RevisedSimplex:
         cand = []
         for j in range(self.nc):
             if j not in self.in_basis:
-                rcf = 1.0 - sum(yf[r] for r in self.col_rows[j])
+                rcf = 1.0 - sum(map(yf.__getitem__, self.col_rows[j]))
                 if rcf < 1e-9:
                     cand.append((rcf, j))
         for r in range(self.n):
@@ -190,7 +189,7 @@ class _RevisedSimplex:
         # where d = adj . a_enter is det times the entering direction
         if enter < self.nc:
             rows = self.col_rows[enter]
-            d = [sum(arow[r] for r in rows) for arow in self.adj]
+            d = [sum(map(arow.__getitem__, rows)) for arow in self.adj]
         else:
             r = enter - self.nc
             d = [-arow[r] for arow in self.adj]

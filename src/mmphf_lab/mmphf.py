@@ -6,9 +6,9 @@ answer arbitrarily in [0, n-1] for non-members.  Two schemes are built:
 
 * "explicit-set": the combinatorial rank of S among all n-subsets of
   [1, u], stored in exactly ceil(log2(C(u, n))) payload bits.  Ranking
-  takes O(n) binomials (the hockey-stick identity); a query decodes the
-  set by galloping search, O(log(gap)) binomials per member, and stops
-  at the first member >= q.
+  takes O(n) binomials (the hockey-stick identity); the first query
+  decodes the set by galloping search, O(log(gap)) binomials per member,
+  and the index keeps it, so every query is one bisection.
 * "rank-map": a seeded two-level hash-displacement table in the
   O(n log n)-bit regime; queries never look at the key set itself.
 
@@ -30,6 +30,7 @@ exact tower arithmetic.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
@@ -38,7 +39,7 @@ from .caps import DEFAULT_CAPS, EnumerationCaps
 from .coloring import fractional_chromatic_number
 from .errors import CorruptIndexError, SchemeViolationError
 from .graphs import ConflictSpec, build_graph
-from .rng import hash64
+from .rng import hash64, hash_key, mix64
 from .serialize import frac_str
 from .tower import ScaledPow2, TowerInt, pow2, tower_cmp, tower_str
 
@@ -146,6 +147,15 @@ class MmphfIndex:
     def total_bits(self) -> int:
         return self.size_bits + self.header_bits
 
+    @cached_property
+    def members(self) -> list:
+        """The explicit-set key set, decoded from the payload on first use.
+
+        The list lives in this index only; a payload that decodes to no
+        subset raises CorruptIndexError and leaves nothing cached.
+        """
+        return list(_subset_unrank(self.payload.value, self.n, self.u))
+
 
 # ---------------------------------------------------------------------------
 # combinatorial rank codec (explicit-set scheme)
@@ -244,16 +254,16 @@ def build(scheme: str, keys: KeySet, seed: int = 0) -> MmphfIndex:
 
 
 def query(index: MmphfIndex, q: int) -> int:
-    """Rank answer for q; exact on members, in [0, n-1] otherwise."""
+    """Rank answer for q; exact on members, in [0, n-1] otherwise.
+
+    An explicit-set index decodes its payload once per index, on its first
+    query (`MmphfIndex.members`); every query is then one bisection.
+    """
     if not 1 <= q <= index.u:
         raise ValueError(f"query {q} outside universe [1, {index.u}]")
     if index.scheme == SCHEME_EXPLICIT_SET:
-        # the number of members below q, at most n-1: decoding stops at
-        # the first member >= q
-        for j, e in enumerate(_subset_unrank(index.payload.value, index.n, index.u)):
-            if e >= q:
-                return j
-        return index.n - 1
+        # the number of members below q, at most n-1
+        return min(bisect_left(index.members, q), index.n - 1)
     if index.scheme == SCHEME_RANK_MAP:
         return _query_rank_map(index, q)
     if index.scheme == SCHEME_BROKEN:
@@ -292,31 +302,43 @@ def _build_rank_map(keys: KeySet, seed: int) -> BitString:
 
 
 def _try_place(keys: KeySet, seed: int, attempt: int):
+    """(displacements, slots) for one salt, or None if some bucket fits nowhere.
+
+    Buckets are placed largest first, each at the smallest displacement d
+    that sends its keys' homes h to free slots (h + d) mod n.  Bit d of
+    the AND over h of the free-slot mask rotated right by h is set exactly
+    when every (h + d) mod n is free, so the lowest set bit is that d.
+    Keys of one bucket with equal homes collide at every d.
+    """
     n = keys.n
     salt = seed ^ (attempt * 0x9E3779B97F4A7C15)
+    bucket_key, home_key = hash_key(salt, 1), hash_key(salt, 2)
     buckets: list = [[] for _ in range(n)]
     for rank, e in enumerate(keys.elements):
-        buckets[hash64(e, salt, salt=1) % n].append((e, rank))
+        buckets[mix64(e ^ bucket_key) % n].append((e, rank))
     order = sorted(range(n), key=lambda b: (-len(buckets[b]), b))
-    used = [False] * n
+    full = (1 << n) - 1
+    free = full
     slots = [0] * n
     displacements = [0] * n
     for b in order:
         if not buckets[b]:
-            continue
-        homes = [hash64(e, salt, salt=2) % n for e, _ in buckets[b]]
-        # The slot (home + d) mod n has period n in d: if any displacement
-        # fits, the first that fits is below n.
-        for d in range(n):
-            positions = [(h + d) % n for h in homes]
-            if len(set(positions)) == len(positions) and not any(used[p] for p in positions):
-                displacements[b] = d
-                for (e, rank), p in zip(buckets[b], positions):
-                    used[p] = True
-                    slots[p] = rank
-                break
-        else:
+            break  # every later bucket is empty too
+        homes = [mix64(e ^ home_key) % n for e, _ in buckets[b]]
+        if len(set(homes)) < len(homes):
             return None
+        doubled = free | (free << n)
+        fits = full
+        for h in homes:
+            fits &= doubled >> h
+        if not fits:
+            return None
+        d = (fits & -fits).bit_length() - 1
+        displacements[b] = d
+        for (e, rank), h in zip(buckets[b], homes):
+            p = (h + d) % n
+            free ^= 1 << p
+            slots[p] = rank
     return displacements, slots
 
 

@@ -27,10 +27,18 @@ def derive_seed(master: int, index: int) -> int:
     return mix64((master + (index + 1) * 0x9E3779B97F4A7C15) & MASK64)
 
 
+def hash_key(seed: int, salt: int = 0) -> int:
+    """The 64-bit key `hash64` mixes into every value hashed under (seed, salt)."""
+    return mix64(seed ^ (salt * 0xD6E8FEB86659FD93))
+
+
 def hash64(value: int, seed: int, salt: int = 0) -> int:
-    """Deterministic 64-bit hash of an integer under a seed and salt."""
-    h = mix64(value ^ mix64(seed ^ (salt * 0xD6E8FEB86659FD93)))
-    return h & MASK64
+    """Deterministic 64-bit hash of an integer under a seed and salt.
+
+    Equal to `mix64(value ^ hash_key(seed, salt))`, so a caller hashing many
+    values under one (seed, salt) can mix the key once.
+    """
+    return mix64(value ^ hash_key(seed, salt))
 
 
 class BitSampler:

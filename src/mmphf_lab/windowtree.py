@@ -32,7 +32,7 @@ from .graphs import LabelFn, label_getter
 from .harddist import SamplerParams, sample as sample_trace
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
 from .serialize import frac_str
-from .tower import pow2
+from .tower import Pow2, pow2
 
 KEPT = 0
 DIRECT = 1
@@ -53,11 +53,26 @@ class WindowTreeSpec:
             raise ValueError("depth must be >= 0")
         if self.length < 1:
             raise ValueError("root window must be nonempty")
-        block = self.arity**self.depth
-        if self.length % block != 0:
+        # arity^depth >= 2^floor_bits, so a shorter root cannot be its multiple
+        # and the power is built only when it is at most about length^2
+        if (
+            self.length.bit_length() <= self.floor_bits
+            or self.length % self.arity**self.depth != 0
+        ):
             raise ValueError(
-                f"root length {self.length} is not arity^depth = {block} times an integer"
+                f"root length {self.length} is not arity^depth = "
+                f"{self.arity}^{self.depth} times an integer"
             )
+
+    @property
+    def floor_bits(self) -> int:
+        """depth * floor(log2(arity)): the tree has at least 2^floor_bits leaves."""
+        return self.depth * (self.arity.bit_length() - 1)
+
+    @property
+    def node_count(self) -> int:
+        r, k = self.arity, self.depth
+        return (r ** (k + 1) - 1) // (r - 1)
 
 
 class WindowTree:
@@ -76,11 +91,6 @@ class WindowTree:
     @property
     def leaf_count(self) -> int:
         return self.spec.arity**self.spec.depth
-
-    @property
-    def node_count(self) -> int:
-        r, k = self.spec.arity, self.spec.depth
-        return (r ** (k + 1) - 1) // (r - 1)
 
     def level_size(self, level: int) -> int:
         return self.spec.arity**level
@@ -103,9 +113,15 @@ class WindowTree:
 
 
 def build_tree(spec: WindowTreeSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> WindowTree:
-    tree = WindowTree(spec)
-    caps.check("max_vertices", tree.node_count)
-    return tree
+    """The tree of a spec whose node count is within `max_vertices`.
+
+    The count is checked before any level is computed; from 2^64 leaves on,
+    the lower bound 2^floor_bits is checked before the count is built.
+    """
+    if spec.floor_bits >= 64:
+        caps.check("max_vertices", Pow2(spec.floor_bits))
+    caps.check("max_vertices", spec.node_count)
+    return WindowTree(spec)
 
 
 def density(window: tuple, f: LabelFn, index: int) -> Fraction:

@@ -210,6 +210,17 @@ class TestMmphfVerify:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
 
+    def test_explicit_set_256_keys_over_a_million_fresh_process(self):
+        # one decode of the payload serves every key's query
+        keys = sorted(random.Random(256).sample(range(1, 10**6 + 1), 256))
+        proc = run_cli_fresh(
+            "mmphf-verify", "--scheme", "explicit-set",
+            "--keys", ",".join(map(str, keys)), "--u", str(10**6),
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["ok"] is True and data["answers"] == [[e, j] for j, e in enumerate(keys)]
+
     def test_universe_beyond_the_64_bit_header_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "mmphf-verify", "--scheme", "rank-map",
@@ -489,6 +500,27 @@ class TestAstronomicalInputs:
         assert data["m"] == 100 and data["k"] == 10
         assert data["u_prime"] == "10*2^" + int_str(100**10100)
         assert data["u_prime_le_u"] is True and data["m_le_sqrt_n"] is False
+
+    def test_prune_depth_past_the_digit_limit(self):
+        proc = run_cli_fresh(
+            "prune", "--arity", "2", "--depth", "1000000", "--labels", "1,2",
+            "--index", "1", "--tau", "1/2",
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "mmphf-lab: error: root length 2 is not arity^depth = 2^1000000 times an integer\n"
+        )
+
+    def test_case1_sweep_tree_names_the_cap_before_building_levels(self):
+        proc = run_cli_fresh(
+            "case1-sweep", "--instances", "1", "--max-arity", "100000", "--max-depth", "100000",
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert re.fullmatch(
+            r"mmphf-lab: enumeration cap exceeded: max_vertices "
+            r"\(required at least 2\^\d+ > limit 1000000\)\n",
+            proc.stderr,
+        )
 
 
 class TestUsage:

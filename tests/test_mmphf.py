@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -29,7 +30,7 @@ from mmphf_lab.mmphf import (
     query,
     size_lower_bound_bits,
 )
-from mmphf_lab.rng import BitSampler
+from mmphf_lab.rng import BitSampler, hash64
 from mmphf_lab.tower import Pow2, ScaledPow2, parse_tower, pow2, tower_cmp
 
 from oracles import reference_subset_rank, reference_subset_unrank, reference_try_place
@@ -113,21 +114,43 @@ class TestSchemes:
             build("nope", EXAMPLE)
 
 
+def _count_decodes(monkeypatch):
+    """Count calls of the explicit-set decoder; returns the count getter."""
+    calls = []
+    unrank = mmphf._subset_unrank
+
+    def counted(*args):
+        calls.append(args)
+        return unrank(*args)
+
+    monkeypatch.setattr(mmphf, "_subset_unrank", counted)
+    return lambda: len(calls)
+
+
 def _random_keys(seed, n, u):
     return KeySet(tuple(sorted(random.Random(f"{seed}/{n}/{u}").sample(range(1, u + 1), n))), u)
 
 
 class TestRankMapPlacement:
     def test_matches_the_four_n_squared_reference(self):
+        # the reference probes 4n^2 displacements per failing bucket, so the
+        # sizes past 16 take fewer seeds
         outcomes = []
-        for n in range(1, 17):
-            for seed in range(40):
+        largest_bucket = 0
+        cases = [(n, range(40)) for n in range(1, 17)] + [(n, range(4)) for n in (24, 32, 48, 64)]
+        for n, seeds in cases:
+            for seed in seeds:
                 keys = _random_keys(seed, n, 8 * n)
                 for attempt in range(4):
                     placed = mmphf._try_place(keys, seed, attempt)
                     assert placed == reference_try_place(keys, seed, attempt), (n, seed, attempt)
                     outcomes.append(placed)
+                    if placed is not None:
+                        salt = seed ^ (attempt * 0x9E3779B97F4A7C15)
+                        sizes = Counter(hash64(e, salt, salt=1) % n for e in keys.elements)
+                        largest_bucket = max(largest_bucket, *sizes.values())
         assert None in outcomes
+        assert largest_bucket >= 2
 
     def test_1024_keys_over_2_to_the_20(self):
         keys = _random_keys(0, 1024, 1 << 20)
@@ -188,12 +211,35 @@ class TestSubsetCodec:
             assert [query(idx, e) for e in elements] == list(range(keys.n))
             assert query(idx, 2**63) == min(bisect_left(elements, 2**63), keys.n - 1)
 
-    def test_payload_not_below_the_subset_count_is_corrupt(self):
+    def test_payload_not_below_the_subset_count_is_corrupt(self, monkeypatch):
+        decodes = _count_decodes(monkeypatch)
         u, n = 8, 3  # C(8, 3) = 56 fits 6 bits, so payloads 56..63 name no subset
         for value in (56, 63):
             idx = MmphfIndex(SCHEME_EXPLICIT_SET, n, u, None, BitString(value, 6))
-            with pytest.raises(CorruptIndexError):
-                query(idx, 1)
+            for _ in range(2):  # a failed decode is not cached
+                with pytest.raises(CorruptIndexError):
+                    query(idx, 1)
+        assert decodes() == 4
+
+    def test_one_decode_per_index(self, monkeypatch):
+        decodes = _count_decodes(monkeypatch)
+        keys = _random_keys(7, 50, 10**6)
+        idx = build(SCHEME_EXPLICIT_SET, keys)
+        assert [query(idx, e) for e in keys.elements] == list(range(keys.n))
+        assert [query(idx, q) for q in (1, 10**6)] == [0, keys.n - 1]
+        assert decodes() == 1
+        # an equal index built again holds its own decode
+        again = build(SCHEME_EXPLICIT_SET, keys)
+        assert again == idx and again is not idx
+        assert query(again, keys.elements[3]) == 3
+        assert decodes() == 2
+
+    def test_bitstring_decodes_once(self, monkeypatch):
+        decodes = _count_decodes(monkeypatch)
+        bits = (1, 0, 0, 1, 1, 0, 1, 0, 1, 1)
+        idx = build(SCHEME_EXPLICIT_SET, encode_bitstring(bits))
+        assert decode_bitstring(idx, len(bits)) == bits
+        assert decodes() == 1
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_universe_must_fit_the_64_bit_header(self, scheme):

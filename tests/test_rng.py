@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 from scipy.stats import chisquare
 
-from mmphf_lab.rng import BitSampler, derive_seed, hash64, mix64
+from mmphf_lab.rng import BitSampler, derive_seed, hash64, hash_key, mix64
 
 
 def test_deterministic_streams():
@@ -41,6 +42,14 @@ def test_hash64_depends_on_all_inputs():
     assert hash64(1, 2) != hash64(1, 3)
     assert hash64(1, 2, salt=1) != hash64(1, 2, salt=2)
     assert hash64(1, 2) == hash64(1, 2)
+
+
+def test_hash64_mixes_the_value_into_one_key_per_seed_and_salt():
+    rng = random.Random(17)
+    for _ in range(2000):
+        v, seed, salt = (rng.getrandbits(rng.choice((8, 64, 80))) for _ in range(3))
+        assert hash64(v, seed, salt) == mix64(v ^ hash_key(seed, salt))
+    assert hash64(5, 9) == mix64(5 ^ hash_key(9))
 
 
 def test_mix64_is_64_bit():

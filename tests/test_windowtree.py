@@ -7,6 +7,7 @@ from mmphf_lab.caps import EnumerationCaps
 from mmphf_lab.errors import EnumerationCapExceeded
 from mmphf_lab.harddist import SamplerParams
 from mmphf_lab.rng import BitSampler, derive_seed
+from mmphf_lab.tower import Pow2
 from mmphf_lab.windowtree import (
     DIRECT,
     INDIRECT,
@@ -40,6 +41,20 @@ class TestBuild:
     def test_non_divisible_length_rejected(self):
         with pytest.raises(ValueError):
             WindowTreeSpec(arity=2, depth=2, start=1, length=5)
+
+    def test_root_shorter_than_the_leaf_bound_rejected_without_the_power(self):
+        # 100000^(10^9) has about 1.7 * 10^10 bits; the root is refused by bit length
+        with pytest.raises(ValueError, match=r"arity\^depth = 100000\^1000000000 times"):
+            WindowTreeSpec(arity=100000, depth=10**9, start=1, length=2)
+
+    def test_node_cap_from_the_leaf_bound(self):
+        spec = WindowTreeSpec(arity=3, depth=64, start=1, length=3**64)
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            build_tree(spec, EnumerationCaps(max_vertices=2**63))
+        assert exc.value.required == Pow2(64)  # 2^64 <= 3^64 leaves
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            build_tree(spec, EnumerationCaps(max_vertices=2**100))
+        assert exc.value.required == spec.node_count == (3**65 - 1) // 2
 
     def test_node_cap(self):
         with pytest.raises(EnumerationCapExceeded):
