@@ -17,7 +17,7 @@ from mmphf_lab.coloring import (
     fractional_chromatic_number,
     product_multiplicativity_certificates,
 )
-from mmphf_lab.graphs import ConflictSpec, ExplicitSpec, build_graph, explicit_graph, product
+from mmphf_lab.graphs import ConflictSpec, build_graph, explicit_graph, or_product
 
 
 def c5():
@@ -37,8 +37,7 @@ print("  certified product value:", value)
 print("  composed primal size:", len(primal.sets), "sets, value", primal.value)
 print("  composed dual support:", len(dual.weights), "vertices, value", dual.value)
 
-c5_spec = ExplicitSpec(tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
-direct = fractional_chromatic_number(build_graph(product(c5_spec, c5_spec)), include_chi=False)
+direct = fractional_chromatic_number(or_product(c5(), c5()), include_chi=False)
 print("  direct LP on the 25-vertex product:", direct.chi_f)
 assert direct.chi_f == value
 

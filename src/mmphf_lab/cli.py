@@ -160,14 +160,24 @@ def _graph_flags(sp):
 
 def _build_graph(args) -> graphs.Graph:
     if args.graph == "conflict":
+        _refuse_flags("conflict", {"--n": args.n, "--u": args.u})
         if args.m is None or args.M is None:
             raise ValueError("conflict graphs need --m and --M")
         spec = graphs.ConflictSpec(args.m, args.M, args.offset)
     else:
+        # a shift graph keeps the default offset 0 in its artifact
+        _refuse_flags("shift", {"--m": args.m, "--M": args.M, "--offset": args.offset or None})
         if args.n is None or args.u is None:
             raise ValueError("shift graphs need --n and --u")
         spec = graphs.ShiftSpec(args.n, args.u)
     return graphs.build_graph(spec, _caps(args))
+
+
+def _refuse_flags(family: str, flags: dict) -> None:
+    """A usage error naming the given flags of the other family, if any."""
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given:
+        raise ValueError(f"{family} graphs take no {', '.join(given)}")
 
 
 def _graph_export_flags(sp):
@@ -435,6 +445,8 @@ def _sx_flags(sp):
 
 
 def _sx_roundtrip(args):
+    # round d builds 2^d indexes, so the sweep builds 2^(max_d+1) - 2
+    _caps(args).check("max_outcomes", (1 << args.max_d + 1) - 2)
     records = [
         mmphf.bitstring_roundtrip(args.scheme, d, args.seed) for d in range(1, args.max_d + 1)
     ]

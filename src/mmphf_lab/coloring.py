@@ -462,9 +462,11 @@ def product_multiplicativity_certificates(
     and covering, the dual's mass at most 1 on every independent set of the
     subgraph its positive-weight vertices induce, and both values equal.
     Matching values squeeze chi_f of the product to exactly the product of
-    the factor values.
+    the factor values.  The product is built first, so its vertex count
+    meets `max_vertices` before any LP runs.
     Returns (product_value, composed_primal, composed_dual).
     """
+    product = or_product(g1, g2, caps)
     r1 = fractional_chromatic_number(g1, caps, include_chi=False)
     r2 = fractional_chromatic_number(g2, caps, include_chi=False)
     report = ChiReport(
@@ -472,5 +474,5 @@ def product_multiplicativity_certificates(
         primal=compose_product_primal(r1.primal, r2.primal, g1.n, g2.n),
         dual=compose_product_dual(r1.dual, r2.dual, g2.n),
     )
-    _verify_report(or_product(g1, g2), report)
+    _verify_report(product, report)
     return report.chi_f, report.primal, report.dual

@@ -1,18 +1,21 @@
 """Graph families over increasing integer tuples.
 
-Four constructions share one vertex vocabulary:
+Each kind of graph has one builder, and every builder checks
+`max_vertices` before it enumerates:
 
-* conflict graphs: vertices are the size-m subsets of an (optionally
-  offset) universe, written as strictly increasing tuples; two vertices
-  conflict when they share an element at two different positions, i.e.
-  when no single rank index can answer for both.
-* shift graphs: vertices are n-subsets of [u] with edges between
-  (a1,...,an) and (a2,...,an+1); a subgraph of the conflict graph on the
-  same parameters.
-* or-products: vertices are pairs, adjacent when either coordinate is;
-  `or_product` builds one from its two built factors.
-* explicit graphs: arbitrary vertex and edge lists, used for small test
-  inputs and cross-checks.
+* `build_graph` builds the two tuple families of a `GraphSpec`, which
+  share one vertex vocabulary:
+  - conflict graphs: vertices are the size-m subsets of an (optionally
+    offset) universe, written as strictly increasing tuples; two vertices
+    conflict when they share an element at two different positions, i.e.
+    when no single rank index can answer for both.
+  - shift graphs: vertices are n-subsets of [u] with edges between
+    (a1,...,an) and (a2,...,an+1); a subgraph of the conflict graph on
+    the same parameters.
+* `or_product` builds the or-product of two built graphs: vertices are
+  pairs, adjacent when either coordinate is.
+* `explicit_graph` builds a graph from arbitrary vertex and edge lists,
+  used for small test inputs and cross-checks.
 
 The pairwise predicate `adjacent` covers the two tuple families only.
 
@@ -77,53 +80,21 @@ class ShiftSpec:
         return range(1, self.u + 1)
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """Or-product: vertices V1 x V2, edge iff edge in either coordinate."""
-
-    left: "GraphSpec"
-    right: "GraphSpec"
+GraphSpec = Union[ConflictSpec, ShiftSpec]
 
 
-@dataclass(frozen=True)
-class ExplicitSpec:
-    """An explicit vertex list plus edge list."""
-
-    vertices: tuple
-    edges: tuple
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise ValueError("duplicate vertices in explicit graph")
-        for (a, b) in self.edges:
-            if a not in vset or b not in vset:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex")
-            if a == b:
-                raise ValueError("self-loops are not allowed")
-
-
-GraphSpec = Union[ConflictSpec, ShiftSpec, ProductSpec, ExplicitSpec]
-
-
-def product(g1: GraphSpec, g2: GraphSpec) -> ProductSpec:
-    """Or-product of two graph specs."""
-    return ProductSpec(g1, g2)
+def _tuple_size(spec: GraphSpec) -> int:
+    """The length of the spec's vertex tuples."""
+    return spec.m if isinstance(spec, ConflictSpec) else spec.n
 
 
 def vertex_count(spec: GraphSpec) -> int:
-    if isinstance(spec, ConflictSpec):
-        return math.comb(spec.M, spec.m)
-    if isinstance(spec, ShiftSpec):
-        return math.comb(spec.u, spec.n)
-    if isinstance(spec, ProductSpec):
-        return vertex_count(spec.left) * vertex_count(spec.right)
-    return len(spec.vertices)
+    return math.comb(len(spec.universe), _tuple_size(spec))
 
 
-def validate_vertex(spec: ConflictSpec | ShiftSpec, v) -> None:
+def validate_vertex(spec: GraphSpec, v) -> None:
     """Raise InvalidVertexError unless v is a vertex of spec."""
-    size = spec.m if isinstance(spec, ConflictSpec) else spec.n
+    size = _tuple_size(spec)
     if not isinstance(v, tuple) or len(v) != size:
         raise InvalidVertexError(f"expected a {size}-tuple, got {v!r}")
     lo, hi = spec.universe.start, spec.universe.stop - 1
@@ -136,7 +107,7 @@ def validate_vertex(spec: ConflictSpec | ShiftSpec, v) -> None:
         prev = e
 
 
-def adjacent(spec: ConflictSpec | ShiftSpec, v, w) -> bool:
+def adjacent(spec: GraphSpec, v, w) -> bool:
     """Adjacency predicate of a tuple family; symmetric and irreflexive."""
     validate_vertex(spec, v)
     validate_vertex(spec, w)
@@ -159,18 +130,11 @@ def _conflict_adjacent(v: tuple, w: tuple) -> bool:
 
 def iter_vertices(spec: GraphSpec) -> Iterator:
     """Vertices in canonical order (lexicographic on element tuples)."""
-    if isinstance(spec, ConflictSpec):
-        yield from combinations(spec.universe, spec.m)
-    elif isinstance(spec, ShiftSpec):
-        yield from combinations(spec.universe, spec.n)
-    elif isinstance(spec, ProductSpec):
-        yield from iter_product(iter_vertices(spec.left), iter_vertices(spec.right))
-    else:
-        yield from spec.vertices
+    return combinations(spec.universe, _tuple_size(spec))
 
 
 def product_index(i1: int, i2: int, n2: int) -> int:
-    """Canonical index of or-product vertex (i1, i2): the order of iter_vertices."""
+    """Canonical index of or-product vertex (i1, i2): the order of `or_product`'s vertices."""
     return i1 * n2 + i2
 
 
@@ -183,7 +147,6 @@ class Graph:
     derived from it: the (i, j) index pairs with i < j, in increasing order.
     """
 
-    spec: GraphSpec
     vertices: list
     adj_bits: list = field(repr=False)
     edges: list = field(init=False)
@@ -205,30 +168,29 @@ class Graph:
         return bool(self.adj_bits[i] >> j & 1)
 
 
-def build_graph(spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
-    """Enumerate a spec into an explicit graph, respecting the vertex cap."""
-    caps.check("max_vertices", vertex_count(spec))
-    if isinstance(spec, ProductSpec):
-        return or_product(build_graph(spec.left, caps), build_graph(spec.right, caps))
-    vertices = list(iter_vertices(spec))
-    if isinstance(spec, ExplicitSpec):
-        index = {v: i for i, v in enumerate(vertices)}
-        pairs = ((index[a], index[b]) for a, b in spec.edges)
-    else:
-        pairs = (
-            (i, j) for i, j in combinations(range(len(vertices)), 2)
-            if adjacent(spec, vertices[i], vertices[j])
-        )
+def _graph_from_pairs(vertices: list, pairs: Iterable) -> Graph:
+    """The graph on vertices whose edges are the index pairs (i, j)."""
     adj_bits = [0] * len(vertices)
     for i, j in pairs:
         adj_bits[i] |= 1 << j
         adj_bits[j] |= 1 << i
-    return Graph(spec=spec, vertices=vertices, adj_bits=adj_bits)
+    return Graph(vertices=vertices, adj_bits=adj_bits)
 
 
-def or_product(g1: Graph, g2: Graph) -> Graph:
+def build_graph(spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
+    """Enumerate a tuple family into an explicit graph, respecting the vertex cap."""
+    caps.check("max_vertices", vertex_count(spec))
+    vertices = list(iter_vertices(spec))
+    return _graph_from_pairs(vertices, (
+        (i, j) for i, j in combinations(range(len(vertices)), 2)
+        if adjacent(spec, vertices[i], vertices[j])
+    ))
+
+
+def or_product(g1: Graph, g2: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     """The or-product of two built graphs: (i1, i2) ~ (j1, j2) iff i1 ~ j1 or i2 ~ j2."""
     n1, n2 = g1.n, g2.n
+    caps.check("max_vertices", n1 * n2)
     full2 = (1 << n2) - 1
     # in block j1 the neighbours of (i1, i2) are the whole block when i1 ~ j1
     # and the neighbourhood of i2 otherwise; the blocks are disjoint, so sum is or
@@ -237,13 +199,24 @@ def or_product(g1: Graph, g2: Graph) -> Graph:
         for i1 in range(n1)
         for a2 in g2.adj_bits
     ]
-    vertices = list(iter_product(g1.vertices, g2.vertices))
-    return Graph(spec=ProductSpec(g1.spec, g2.spec), vertices=vertices, adj_bits=adj_bits)
+    return Graph(vertices=list(iter_product(g1.vertices, g2.vertices)), adj_bits=adj_bits)
 
 
 def explicit_graph(vertices: Iterable, edges: Iterable) -> Graph:
-    """Build a Graph directly from vertex/edge lists."""
-    return build_graph(ExplicitSpec(tuple(vertices), tuple(tuple(e) for e in edges)))
+    """A graph from vertex and edge lists; an edge may repeat or come reversed."""
+    vertices = list(vertices)
+    DEFAULT_CAPS.check("max_vertices", len(vertices))
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValueError("duplicate vertices in explicit graph")
+    pairs = []
+    for a, b in edges:
+        if a not in index or b not in index:
+            raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex")
+        if a == b:
+            raise ValueError("self-loops are not allowed")
+        pairs.append((index[a], index[b]))
+    return _graph_from_pairs(vertices, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +258,23 @@ def independent_set_of(
 
 
 def maximal_independent_sets(
-    spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS
+    spec: ConflictSpec, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> list[frozenset]:
-    """All maximal independent sets, as frozensets of vertices.
+    """All maximal independent sets of a conflict graph, as frozensets of vertices.
 
-    Conflict graphs go through the label-function bijection; every other
-    family is enumerated generically (Bron-Kerbosch on the complement).
+    They come from the label-function bijection: each nonempty, maximal
+    I(f) once, in the order of the first f giving it.  Any other graph
+    goes to the generic `bron_kerbosch_maximal_sets`.
     """
-    if isinstance(spec, ConflictSpec):
-        graph = build_graph(spec, caps)
-        seen = set()
-        out = []
-        for f in iter_label_functions(spec.universe, spec.m, caps):
-            iset = independent_set_of(f, spec, caps)
-            if iset and iset not in seen and _is_maximal(graph, iset):
-                seen.add(iset)
-                out.append(iset)
-        return out
-    graph = spec if isinstance(spec, Graph) else build_graph(spec, caps)
-    return [
-        frozenset(graph.vertices[i] for i in bit_indices(mask))
-        for mask in bron_kerbosch_maximal_sets(graph.adj_bits)
-    ]
+    graph = build_graph(spec, caps)
+    seen = set()
+    out = []
+    for f in iter_label_functions(spec.universe, spec.m, caps):
+        iset = independent_set_of(f, spec, caps)
+        if iset and iset not in seen and _is_maximal(graph, iset):
+            seen.add(iset)
+            out.append(iset)
+    return out
 
 
 def _is_maximal(graph: Graph, iset: frozenset) -> bool:

@@ -138,14 +138,10 @@ def density(window: tuple, f: LabelFn, index: int) -> Fraction:
 class PruneResult:
     """Per-node marks and per-level direct-pruning fractions."""
 
-    spec: WindowTreeSpec
     index: int
     tau: Fraction
     marks: list  # marks[level][idx] in {KEPT, DIRECT, INDIRECT}
     p: list  # per-level Fraction
-
-    def mark(self, level: int, idx: int) -> int:
-        return self.marks[level][idx]
 
     def is_pruned(self, level: int, idx: int) -> bool:
         return self.marks[level][idx] != KEPT
@@ -221,7 +217,7 @@ def prune(tree: WindowTree, f: LabelFn, index: int, tau) -> PruneResult:
                 row.append(KEPT)
         marks.append(row)
         p.append(Fraction(direct, candidates) if candidates else Fraction(0))
-    return PruneResult(spec=tree.spec, index=index, tau=tau, marks=marks, p=p)
+    return PruneResult(index=index, tau=tau, marks=marks, p=p)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from mmphf_lab.coloring import (
 from mmphf_lab.errors import SchemeViolationError
 from mmphf_lab.graphs import (
     ConflictSpec,
-    ExplicitSpec,
     ShiftSpec,
     adjacent,
     bron_kerbosch_maximal_sets,

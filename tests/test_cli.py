@@ -82,6 +82,23 @@ class TestChi:
 
 
 class TestGraph:
+    @pytest.mark.parametrize(
+        "family_flags, message",
+        [
+            (["shift", "--n", "2", "--u", "5", "--offset", "7", "--M", "99"],
+             "shift graphs take no --M, --offset"),
+            (["conflict", "--m", "2", "--M", "4", "--n", "2", "--u", "5"],
+             "conflict graphs take no --n, --u"),
+        ],
+    )
+    def test_flags_of_the_other_family_are_named(self, capsys, family_flags, message):
+        code, out, err = run_cli(capsys, "graph", "--graph", *family_flags)
+        assert (code, out, err) == (2, "", f"mmphf-lab: error: {message}\n")
+
+    def test_shift_keeps_an_explicit_zero_offset(self, capsys):
+        argv = ("graph", "--graph", "shift", "--n", "2", "--u", "5")
+        assert run_cli(capsys, *argv, "--offset", "0") == run_cli(capsys, *argv)
+
     def test_summary(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "--graph", "conflict", "--m", "2", "--M", "4")
         data = json.loads(out)
@@ -248,6 +265,20 @@ class TestSxRoundtrip:
         assert code == 0 and data["ok"]
         assert [r["distinct_payloads"] for r in data["rounds"]] == [2, 4, 8, 16]
 
+    def test_index_count_meets_max_outcomes_at_the_boundary(self, capsys):
+        # rounds 1..3 build 2 + 4 + 8 = 14 indexes
+        argv = ("sx-roundtrip", "--max-d", "3", "--max-outcomes")
+        assert run_cli(capsys, *argv, "14")[0] == 0
+        code, out, err = run_cli(capsys, *argv, "13")
+        assert code == 2 and out == ""
+        assert err == "mmphf-lab: enumeration cap exceeded: max_outcomes (required 14 > limit 13)\n"
+
+    def test_default_cap_refuses_max_d_23(self):
+        proc = run_cli_fresh("sx-roundtrip", "--max-d", "23", timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_outcomes "
+                               "(required 16777214 > limit 10000000)\n")
+
 
 class TestParameterize:
     def test_tower(self, capsys):
@@ -399,12 +430,17 @@ class TestIoErrors:
             ),
             (["sample", "--m", "4", "--defaults"], None),
             (["adversary", "--tuples", "1,2=1", "--universe", "0"], None),
+            (["graph", "--graph", "shift", "--n", "2", "--u", "5", "--offset", "7"], None),
+            (["graph", "--graph", "shift", "--n", "2", "--u", "5", "--m", "2", "--M", "99"], None),
+            (["chi", "--graph", "conflict", "--m", "2", "--M", "4", "--n", "2"], None),
+            (["chif", "--graph", "conflict", "--m", "2", "--M", "4", "--u", "5"], None),
         ],
         ids=[
             "out", "keys-file", "dist-file", "empty-dist",
             "dist-no-outcomes", "dist-list", "dist-float-prob", "dist-int-tuple",
             "tuples-zero-denominator", "dist-zero-denominator", "tau-zero-denominator",
             "sample-wider-than-a-draw", "adversary-universe-0",
+            "shift-offset", "shift-m-M", "conflict-n", "conflict-u",
         ],
     )
     def test_exit_2(self, capsys, tmp_path, argv, dist_text):
@@ -510,6 +546,13 @@ class TestAstronomicalInputs:
         assert proc.stderr == (
             "mmphf-lab: error: root length 2 is not arity^depth = 2^1000000 times an integer\n"
         )
+
+    def test_sx_roundtrip_sweep_names_the_cap(self):
+        # 2^41 - 2 indexes: refused before the first round
+        proc = run_cli_fresh("sx-roundtrip", "--max-d", "40", timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_outcomes "
+                               "(required 2199023255550 > limit 10000000)\n")
 
     def test_case1_sweep_tree_names_the_cap_before_building_levels(self):
         proc = run_cli_fresh(

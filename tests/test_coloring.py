@@ -25,13 +25,11 @@ from mmphf_lab.coloring import (
 )
 from mmphf_lab.graphs import (
     ConflictSpec,
-    ExplicitSpec,
     ShiftSpec,
     bit_indices,
     build_graph,
     explicit_graph,
     or_product,
-    product,
 )
 from mmphf_lab.errors import EnumerationCapExceeded
 from mmphf_lab.rng import BitSampler
@@ -262,6 +260,15 @@ class TestOneVerifier:
         with pytest.raises(RuntimeError, match="not independent"):
             product_multiplicativity_certificates(complete(2), complete(2))
 
+    def test_product_over_the_vertex_cap_is_refused(self):
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            product_multiplicativity_certificates(
+                cycle(5), cycle(5), EnumerationCaps(max_vertices=24)
+            )
+        assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
+            "max_vertices", 25, 24
+        )
+
     def test_dropped_column_is_rejected(self, monkeypatch):
         # without its last maximal set the LP of C5 has value 3, and its dual
         # puts mass above 1 on the missing set
@@ -336,7 +343,7 @@ class TestProductCertificates:
         y = compose_product_dual(r1.dual, r2.dual, 2)
         assert y.value == 6
         # K3 v K2 is K6: composed certificates are feasible there
-        g = build_graph(product(_k_spec(3), _k_spec(2)))
+        g = or_product(complete(3), complete(2))
         assert verify_primal(g.n, x)
         assert verify_dual(g, y)
 
@@ -351,22 +358,20 @@ class TestProductCertificates:
         r2 = fractional_chromatic_number(complete(2), include_chi=False)
         x = compose_product_primal(r1.primal, r2.primal, 5, 2)
         assert x.value == 5
-        g = build_graph(product(_c5_spec(), _k_spec(2)))
+        g = or_product(cycle(5), complete(2))
         assert verify_primal(g.n, x)
 
     def test_single_unit_vertex_dual(self):
         y1 = DualWitness(weights={0: Fraction(1)})
         r2 = fractional_chromatic_number(cycle(5), include_chi=False)
         y = compose_product_dual(y1, r2.dual, 5)
-        g = build_graph(product(ExplicitSpec((0, 1), ((0, 1),)), _c5_spec()))
+        g = or_product(complete(2), cycle(5))
         assert verify_dual(g, y)
 
     def test_c5_c5_product_witness_matches_direct_lp(self):
         val, primal, dual = product_multiplicativity_certificates(cycle(5), cycle(5))
         assert val == Fraction(25, 4)
-        direct = fractional_chromatic_number(
-            build_graph(product(_c5_spec(), _c5_spec())), include_chi=False
-        )
+        direct = fractional_chromatic_number(or_product(cycle(5), cycle(5)), include_chi=False)
         assert direct.chi_f == Fraction(25, 4)
 
     def test_multiplicativity_on_named_pairs(self):
@@ -403,16 +408,6 @@ class TestProductCertificates:
         k2 = fractional_chromatic_number(complete(2), include_chi=False).primal
         with pytest.raises(ValueError, match="infeasible"):
             compose_product_primal(k3, k2, 2, 2)
-
-
-def _k_spec(n):
-    return ExplicitSpec(
-        tuple(range(n)), tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    )
-
-
-def _c5_spec():
-    return ExplicitSpec(tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
 
 
 def random_weights(n, rng):

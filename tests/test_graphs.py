@@ -5,8 +5,6 @@ from mmphf_lab.caps import EnumerationCaps
 from mmphf_lab.errors import EnumerationCapExceeded, InvalidVertexError
 from mmphf_lab.graphs import (
     ConflictSpec,
-    ExplicitSpec,
-    ProductSpec,
     ShiftSpec,
     adjacent,
     bron_kerbosch_maximal_sets,
@@ -16,7 +14,7 @@ from mmphf_lab.graphs import (
     is_independent_set,
     iter_label_functions,
     maximal_independent_sets,
-    product,
+    or_product,
     to_dimacs,
     vertex_count,
 )
@@ -24,14 +22,12 @@ from mmphf_lab.graphs import (
 from oracles import count_conflict_edges, networkx_maximal_independent_sets
 
 
-def k_spec(n):
-    return ExplicitSpec(
-        tuple(range(n)), tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    )
+def complete(n):
+    return explicit_graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def c5_spec():
-    return ExplicitSpec(tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
+def c5():
+    return explicit_graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
 
 
 class TestAdjacency:
@@ -115,41 +111,42 @@ class TestBuildGraph:
 
 
 @st.composite
-def explicit_specs(draw, labels):
+def vertex_and_edge_lists(draw, labels):
     n = draw(st.integers(1, 5))
-    vertices = tuple(f"{labels}{i}" for i in range(n))
+    vertices = [f"{labels}{i}" for i in range(n)]
     pairs = [(vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return ExplicitSpec(vertices, tuple(edges))
+    return vertices, edges
 
 
 class TestProduct:
-    @given(explicit_specs("a"), explicit_specs("b"))
+    @given(vertex_and_edge_lists("a"), vertex_and_edge_lists("b"))
     @settings(max_examples=60, deadline=None)
     def test_or_rule(self, a, b):
-        def edge(spec, x, y):
-            return (x, y) in spec.edges or (y, x) in spec.edges
+        (va, ea), (vb, eb) = a, b
 
-        verts = [(x, y) for x in a.vertices for y in b.vertices]
+        def edge(edges, x, y):
+            return (x, y) in edges or (y, x) in edges
+
+        verts = [(x, y) for x in va for y in vb]
         n = len(verts)
         adj = [
-            [i != j and (edge(a, v[0], w[0]) or edge(b, v[1], w[1])) for j, w in enumerate(verts)]
+            [i != j and (edge(ea, v[0], w[0]) or edge(eb, v[1], w[1])) for j, w in enumerate(verts)]
             for i, v in enumerate(verts)
         ]
-        g = build_graph(product(a, b))
+        g = or_product(explicit_graph(va, ea), explicit_graph(vb, eb))
         assert g.vertices == verts
         assert g.edges == [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i][j]]
         assert g.adj_bits == [sum(1 << j for j in range(n) if adj[i][j]) for i in range(n)]
 
     def test_k3_k2_is_complete(self):
-        g = build_graph(product(k_spec(3), k_spec(2)))
+        g = or_product(complete(3), complete(2))
         assert g.n == 6
         assert len(g.edges) == 15
 
     def test_identity_factor(self):
-        single = ExplicitSpec(("x",), ())
-        g1 = build_graph(c5_spec())
-        g2 = build_graph(product(c5_spec(), single))
+        g1 = c5()
+        g2 = or_product(g1, explicit_graph(["x"], []))
         assert g2.n == g1.n
         mapped = {(v, "x"): v for v in g1.vertices}
         for (i, j) in g2.edges:
@@ -158,23 +155,26 @@ class TestProduct:
         assert len(g2.edges) == len(g1.edges)
 
     def test_two_fold_conflict_matches_flat_adjacency(self):
-        spec = product(ConflictSpec(2, 4), ConflictSpec(2, 4, 4))
-        g = build_graph(spec)
-        assert g.n == vertex_count(spec) == 36
+        left, right = ConflictSpec(2, 4), ConflictSpec(2, 4, 4)
+        g = or_product(build_graph(left), build_graph(right))
+        assert g.n == vertex_count(left) * vertex_count(right) == 36
         flat = ConflictSpec(4, 8)  # concatenated tuples live in [1, 8]
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 v, w = g.vertices[i], g.vertices[j]
                 assert g.has_edge(i, j) == adjacent(flat, v[0] + v[1], w[0] + w[1])
 
-    def test_product_vertex_count(self):
-        spec = product(ConflictSpec(2, 4), ConflictSpec(2, 5))
-        assert vertex_count(spec) == 6 * 10
+    def test_vertex_cap_at_the_boundary(self):
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            or_product(c5(), c5(), EnumerationCaps(max_vertices=24))
+        assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
+            "max_vertices", 25, 24
+        )
+        assert or_product(c5(), c5(), EnumerationCaps(max_vertices=25)).n == 25
 
     def test_independent_sets_have_independent_projections(self):
-        f1, f2 = c5_spec(), k_spec(2)
-        pg = build_graph(product(f1, f2))
-        g1, g2 = build_graph(f1), build_graph(f2)
+        g1, g2 = c5(), complete(2)
+        pg = or_product(g1, g2)
         for mask in bron_kerbosch_maximal_sets(pg.adj_bits):
             members = [pg.vertices[i] for i in _bits(mask)]
             proj1 = {v[0] for v in members}
@@ -255,19 +255,31 @@ class TestMaximalIndependentSets:
                     assert any(adjacent(spec, v, w) for w in iset)
 
     def test_explicit_graph_route(self):
-        sets = maximal_independent_sets(c5_spec())
-        expected = {frozenset({i, (i + 2) % 5}) for i in range(5)}
-        assert {frozenset(s) for s in sets} == expected
+        g = c5()
+        sets = {
+            frozenset(g.vertices[i] for i in _bits(mask))
+            for mask in bron_kerbosch_maximal_sets(g.adj_bits)
+        }
+        assert sets == {frozenset({i, (i + 2) % 5}) for i in range(5)}
 
 
 class TestExplicit:
     def test_edge_references_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            ExplicitSpec((1, 2), ((1, 3),))
+        with pytest.raises(ValueError, match=r"^edge \(1, 3\) references unknown vertex$"):
+            explicit_graph((1, 2), [(1, 3)])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            ExplicitSpec((1, 2), ((1, 1),))
+        with pytest.raises(ValueError, match="^self-loops are not allowed$"):
+            explicit_graph((1, 2), [(1, 1)])
+
+    def test_duplicate_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate vertices in explicit graph$"):
+            explicit_graph((1, 2, 1), [])
+
+    def test_vertex_cap(self):
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            explicit_graph(range(10**6 + 1), [])
+        assert exc.value.cap_name == "max_vertices"
 
     def test_reversed_and_duplicated_edges(self):
         g = explicit_graph(range(4), [(2, 0), (0, 2), (3, 1), (1, 0), (1, 0)])

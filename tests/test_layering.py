@@ -3,6 +3,8 @@
 * Only `caps.py` constructs `EnumerationCapExceeded` (in
   `EnumerationCaps.check`), so a reported cap name is always a real
   `EnumerationCaps` field.
+* Only `graphs.py` constructs `Graph`, so every graph comes from a
+  builder there that checks `max_vertices`.
 * No module imports a single-underscore name from a sibling module: what
   one module needs from another is public there.  Dunders such as
   `__version__` are exempt.
@@ -15,6 +17,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmphf_lab"
 HEAVY = ("scipy", "numpy", "networkx")
+# classes that one module alone constructs -> that module
+CONSTRUCTORS = {"EnumerationCapExceeded": "caps.py", "Graph": "graphs.py"}
 
 
 def _is_private(name: str) -> bool:
@@ -45,11 +49,12 @@ def layering_violations(path: Path) -> list:
             if name.split(".")[0] in HEAVY
         )
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and path.name != "caps.py":
+        if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "EnumerationCapExceeded":
-                out.append(f"{path.name}:{node.lineno}: constructs EnumerationCapExceeded")
+            owner = CONSTRUCTORS.get(name)
+            if owner is not None and path.name != owner:
+                out.append(f"{path.name}:{node.lineno}: constructs {name}")
         if isinstance(node, ast.ImportFrom) and (
             node.level > 0 or (node.module or "").split(".")[0] == "mmphf_lab"
         ):
@@ -84,6 +89,28 @@ def test_checker_sees_both_rules(tmp_path):
         "mod.py:6: constructs EnumerationCapExceeded",
         "mod.py:8: constructs EnumerationCapExceeded",
     ]
+
+
+def test_checker_sees_graphs_built_outside_graphs_py(tmp_path):
+    source = (
+        "from . import graphs\n"
+        "from .graphs import Graph\n"
+        "def f():\n"
+        "    return Graph(vertices=[], adj_bits=[])\n"
+        "def g():\n"
+        "    return graphs.Graph([0], [0])\n"
+        "def h():\n"
+        "    return graphs.explicit_graph([0], [])\n"
+    )
+    mod = tmp_path / "mod.py"
+    mod.write_text(source)
+    assert layering_violations(mod) == [
+        "mod.py:4: constructs Graph",
+        "mod.py:6: constructs Graph",
+    ]
+    own = tmp_path / "graphs.py"
+    own.write_text(source)
+    assert layering_violations(own) == []
 
 
 def test_checker_sees_module_level_heavy_imports(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmphf_lab.coloring import maximal_sets_bits
-from mmphf_lab.graphs import ConflictSpec, ExplicitSpec, ShiftSpec, build_graph, product
+from mmphf_lab.graphs import ConflictSpec, ShiftSpec, build_graph, explicit_graph, or_product
 from mmphf_lab.lp import solve_covering_lp
 
 from oracles import brute_lp_chi_f, reference_covering_lp
@@ -121,16 +121,16 @@ def test_matches_fraction_solver_on_degenerate_instances(instance):
     assert_certificates(n, cols, sol)
 
 
-C5 = ExplicitSpec(tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
+C5 = explicit_graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
 MAXIMAL_SET_GRAPHS = {
-    **{f"shift-2-{u}": ShiftSpec(2, u) for u in range(4, 11)},
-    **{f"conflict-2-{M}": ConflictSpec(2, M) for M in range(4, 9)},
-    **{f"conflict-3-{M}": ConflictSpec(3, M) for M in range(3, 9)},
-    "c5-or-c5": product(C5, C5),
+    **{f"shift-2-{u}": build_graph(ShiftSpec(2, u)) for u in range(4, 11)},
+    **{f"conflict-2-{M}": build_graph(ConflictSpec(2, M)) for M in range(4, 9)},
+    **{f"conflict-3-{M}": build_graph(ConflictSpec(3, M)) for M in range(3, 9)},
+    "c5-or-c5": or_product(C5, C5),
 }
 
 
 @pytest.mark.parametrize("name", MAXIMAL_SET_GRAPHS)
 def test_matches_fraction_solver_on_maximal_sets(name):
-    graph = build_graph(MAXIMAL_SET_GRAPHS[name])
+    graph = MAXIMAL_SET_GRAPHS[name]
     assert_same_as_reference(graph.n, maximal_sets_bits(graph))
