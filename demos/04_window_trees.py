@@ -49,8 +49,9 @@ for _ in range(200):
     tau = Fraction(1 + rng.choice_index(8), 10)
     pr = prune(t, labels, 1, tau)
     delta = min(pr.survival_product + Fraction(rng.choice_index(5), 10), Fraction(1))
-    assert case1_inequality_check(t, labels, 1, tau, delta)
-    gap = delta + tau - density(t.window(0, 0), labels, 1)
+    root_density = density(t.window(0, 0), labels, 1)
+    assert case1_inequality_check(pr, root_density, delta)
+    gap = delta + tau - root_density
     worst = max(worst, -gap) if gap < 0 else worst
 print("  all instances satisfy density(root) <= delta + tau")
 

@@ -9,7 +9,7 @@ block-decomposition parameters for tower-sized universes.
 """
 
 from mmphf_lab.errors import SchemeViolationError
-from mmphf_lab.graphs import ConflictSpec
+from mmphf_lab.graphs import ConflictSpec, build_graph
 from mmphf_lab.mmphf import (
     SCHEME_BROKEN,
     SCHEMES,
@@ -48,12 +48,13 @@ for d in (4, 8, 10):
 print()
 print("Payloads properly color conflict(2,8)")
 spec = ConflictSpec(2, 8)
+graph = build_graph(spec)
 for scheme in SCHEMES:
-    colors = extract_coloring(scheme, spec, seed=17)
+    colors = extract_coloring(scheme, graph, seed=17)
     print(f"  {scheme:13s}: {len(set(colors.values()))} distinct colors "
           f"on {len(colors)} vertices, no monochromatic edge")
 try:
-    extract_coloring(SCHEME_BROKEN, spec)
+    extract_coloring(SCHEME_BROKEN, graph)
 except SchemeViolationError as e:
     print(f"  {SCHEME_BROKEN:13s}: caught -> {e}")
 

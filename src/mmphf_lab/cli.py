@@ -370,7 +370,8 @@ def _case1_sweep(args):
         survival = result.survival_product
         # draw delta at or above the survival product so the hypothesis fires
         delta = min(survival + Fraction(rng.choice_index(10), 10), Fraction(1))
-        holds = windowtree.case1_inequality_check(tree, f, index, tau, delta)
+        root_density = windowtree.density(tree.window(0, 0), f, index)
+        holds = windowtree.case1_inequality_check(result, root_density, delta)
         records.append(
             {
                 "instance": inst,
@@ -379,7 +380,7 @@ def _case1_sweep(args):
                 "tau": frac_str(tau),
                 "delta": frac_str(delta),
                 "survival": frac_str(survival),
-                "root_density": frac_str(windowtree.density(tree.window(0, 0), f, index)),
+                "root_density": frac_str(root_density),
                 "fired": survival <= delta,
                 "holds": holds,
                 "leaf_identity": result.kept_leaf_fraction == survival,

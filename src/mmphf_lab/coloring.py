@@ -33,6 +33,7 @@ product's maximal sets.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
@@ -137,14 +138,6 @@ def greedy_clique_lower_bound(graph: Graph) -> int:
             cand &= graph.adj_bits[pick]
         best = max(best, len(clique))
     return best
-
-
-def greedy_coloring(graph: Graph) -> list:
-    """First-fit coloring in canonical order; an upper bound witness."""
-    colors = [-1] * graph.n
-    for v in range(graph.n):
-        colors[v] = _first_free_color(graph, v, colors)
-    return colors
 
 
 def _first_free_color(graph: Graph, v: int, colors: list) -> int:
@@ -267,22 +260,20 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
 
     Iterative deepening from a greedy clique lower bound; the first color
     count that admits a proper coloring is returned together with its
-    witness.  The search nodes of all color counts tried together are
-    bounded by caps.max_search_nodes.
+    witness.  The count needs no upper bound: at max degree + 1 every
+    vertex peels, so that k always succeeds.  The search nodes of all
+    color counts tried together are bounded by caps.max_search_nodes.
     """
     if graph.n == 0:
         raise ValueError("empty graph has no chromatic number")
     caps.check("max_vertices", graph.n)
     if not graph.edges:
         return 1, [0] * graph.n
-    lo = max(2, greedy_clique_lower_bound(graph))
-    hi = max(greedy_coloring(graph)) + 1
     spent = 0
-    for k in range(lo, hi + 1):
+    for k in count(max(2, greedy_clique_lower_bound(graph))):
         witness, spent = _k_coloring(graph, k, caps, spent)
         if witness is not None:
             return k, witness
-    raise RuntimeError("unreachable: greedy coloring bounds the search")
 
 
 def is_proper_coloring(graph: Graph, colors: Iterable) -> bool:

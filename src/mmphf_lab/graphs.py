@@ -263,28 +263,22 @@ def maximal_independent_sets(
     """All maximal independent sets of a conflict graph, as frozensets of vertices.
 
     They come from the label-function bijection: each nonempty, maximal
-    I(f) once, in the order of the first f giving it.  Any other graph
-    goes to the generic `bron_kerbosch_maximal_sets`.
+    I(f) once, in the order of the first f giving it.  I(f) is read off
+    the built graph's vertex list as a bitmask, which is maximal when
+    every vertex outside it has a neighbour inside.  Any other graph goes
+    to the generic `bron_kerbosch_maximal_sets`.
     """
     graph = build_graph(spec, caps)
     seen = set()
     out = []
     for f in iter_label_functions(spec.universe, spec.m, caps):
-        iset = independent_set_of(f, spec, caps)
-        if iset and iset not in seen and _is_maximal(graph, iset):
-            seen.add(iset)
-            out.append(iset)
+        mask = sum(1 << i for i, v in enumerate(graph.vertices) if consistent(f.__getitem__, v))
+        if mask and mask not in seen and all(
+            mask >> i & 1 or adj & mask for i, adj in enumerate(graph.adj_bits)
+        ):
+            seen.add(mask)
+            out.append(frozenset(graph.vertices[i] for i in bit_indices(mask)))
     return out
-
-
-def _is_maximal(graph: Graph, iset: frozenset) -> bool:
-    mask = 0
-    for v in iset:
-        mask |= 1 << graph.index[v]
-    for i in range(graph.n):
-        if not (mask >> i & 1) and graph.adj_bits[i] & mask == 0:
-            return False
-    return True
 
 
 def bit_indices(mask: int) -> list[int]:

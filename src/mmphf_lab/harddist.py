@@ -172,15 +172,15 @@ def sample(params: SamplerParams, seed: int) -> SampleTrace:
     )
 
 
-def verify_trace(trace: SampleTrace, params: SamplerParams | None = None) -> tuple:
-    """Check every structural invariant of a trace.
+def verify_trace(trace: SampleTrace) -> tuple:
+    """Check every structural invariant of a trace against its own params.
 
     Returns (ok, violations).  Checks the recurrences, strict monotonicity
     of the positions, the per-iteration and tail exponent drops, the
     boundedness of later positions, nonnegativity of the final exponent,
     and membership of every window size in the geometry ladder.
     """
-    p = params or trace.params
+    p = trace.params
     m = p.m
     bad = []
     if len(trace.ys) != m or len(trace.zs) != m or len(trace.xs) != m or len(trace.ss) != m:
@@ -319,6 +319,8 @@ def adversary_bound_exact(
 # Monte-Carlo probes
 # ---------------------------------------------------------------------------
 
+CONFIDENCE = 0.99  # of every Monte-Carlo interval
+
 
 @dataclass(frozen=True)
 class MonteCarloReport:
@@ -344,8 +346,8 @@ class MonteCarloReport:
         }
 
 
-def binomial_ci(successes: int, trials: int, confidence: float = 0.99) -> tuple:
-    """Exact (Clopper-Pearson) binomial confidence interval.
+def binomial_ci(successes: int, trials: int) -> tuple:
+    """Exact (Clopper-Pearson) binomial interval at confidence `CONFIDENCE`.
 
     scipy is imported here, its one use, not at module level: loading it
     would otherwise dominate the start-up of every fresh CLI process.
@@ -354,7 +356,7 @@ def binomial_ci(successes: int, trials: int, confidence: float = 0.99) -> tuple:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
     from scipy.stats import beta
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     lo = 0.0 if successes == 0 else float(beta.ppf(alpha / 2, successes, trials - successes + 1))
     hi = (
         1.0
@@ -369,7 +371,6 @@ def monte_carlo_success(
     f: LabelFn,
     trials: int,
     seed: int,
-    confidence: float = 0.99,
 ) -> MonteCarloReport:
     """Estimate the success probability of f by independent sampled traces.
 
@@ -383,12 +384,12 @@ def monte_carlo_success(
         trace = sample(params, derive_seed(seed, t))
         if consistent(get, trace.xs):
             successes += 1
-    lo, hi = binomial_ci(successes, trials, confidence)
+    lo, hi = binomial_ci(successes, trials)
     return MonteCarloReport(
         trials=trials,
         successes=successes,
         estimate=Fraction(successes, trials),
-        confidence=confidence,
+        confidence=CONFIDENCE,
         ci_low=lo,
         ci_high=hi,
         seed=seed,

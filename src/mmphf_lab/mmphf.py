@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .coloring import fractional_chromatic_number
 from .errors import CorruptIndexError, SchemeViolationError
-from .graphs import ConflictSpec, build_graph
+from .graphs import ConflictSpec, Graph, build_graph
 from .rng import hash64, hash_key, mix64
 from .serialize import frac_str
 from .tower import ScaledPow2, TowerInt, pow2, tower_cmp, tower_str
@@ -422,21 +422,17 @@ def bitstring_roundtrip(scheme: str, d: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def extract_coloring(
-    scheme: str,
-    spec: ConflictSpec,
-    seed: int = 0,
-    caps: EnumerationCaps = DEFAULT_CAPS,
-) -> dict:
-    """Color every vertex of a conflict graph by its index payload.
+def extract_coloring(scheme: str, graph: Graph, seed: int = 0) -> dict:
+    """Color every vertex of a built conflict graph by its index payload.
 
-    Adjacent vertices disagree on the rank of a shared element, so a
-    correct scheme can never give them equal payloads; a monochromatic
-    edge raises SchemeViolationError (that is the executable content of
-    the counting argument, and how the broken scheme is caught).
+    Each vertex is indexed as a key set over [1, u], with u the largest
+    element of any vertex: offset + M for every conflict graph.  Adjacent
+    vertices disagree on the rank of a shared element, so a correct scheme
+    can never give them equal payloads; a monochromatic edge raises
+    SchemeViolationError (that is the executable content of the counting
+    argument, and how the broken scheme is caught).
     """
-    graph = build_graph(spec, caps)
-    u = spec.offset + spec.M
+    u = max(v[-1] for v in graph.vertices)
     colors = {}
     for v in graph.vertices:
         idx = build(scheme, KeySet(elements=v, u=u), seed)
@@ -497,12 +493,14 @@ def bound_report(
 ) -> BoundReport:
     """Measure a scheme against the exact coloring bounds on one graph.
 
-    Checks the counting chain distinct payloads >= chi >= chi_f; a correct
-    scheme cannot undercut chi because its payloads properly color the
-    graph.
+    Builds the graph once, for both the exact chromatic data and the
+    payload coloring, and checks the counting chain distinct payloads >=
+    chi >= chi_f; a correct scheme cannot undercut chi because its
+    payloads properly color the graph.
     """
-    report = fractional_chromatic_number(build_graph(spec, caps), caps)
-    colors = extract_coloring(scheme, spec, seed, caps)
+    graph = build_graph(spec, caps)
+    report = fractional_chromatic_number(graph, caps)
+    colors = extract_coloring(scheme, graph, seed)
     sizes = [c.length for c in colors.values()]
     stats = SchemeStats(
         scheme=scheme,

@@ -261,19 +261,20 @@ def event_no_prune_on_prefix(path: SamplingPath, pruned: PruneResult, z: int) ->
     return all(not pruned.is_pruned(level, path.nodes[level]) for level in range(z))
 
 
-def case1_inequality_check(tree: WindowTree, f: LabelFn, index: int, tau, delta) -> bool:
+def case1_inequality_check(result: PruneResult, root_density: Fraction, delta) -> bool:
     """Sparse-case density bound, generalized to parameters (tau, delta).
 
-    If the surviving leaf fraction prod(1 - p_l) is at most delta, then the
-    root density is at most delta + tau.  Returns whether the implication
-    holds on this instance; it must always hold, so False signals a bug.
+    If the surviving leaf fraction prod(1 - p_l) of a pruning is at most
+    delta, then the root density is at most delta + tau.  Reads the
+    caller's `PruneResult` and its root density from `density`, a plain
+    scan independent of prune's prefix sums.  Returns whether the
+    implication holds on this instance; it must always hold, so False
+    signals a bug.
     """
-    tau = Fraction(tau)
     delta = Fraction(delta)
-    result = prune(tree, f, index, tau)
     if result.survival_product > delta:
         return True  # hypothesis does not fire; implication is vacuous
-    return density(tree.window(0, 0), f, index) <= delta + tau
+    return root_density <= delta + result.tau
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +335,6 @@ def final_window_experiment(
     tau,
     trials: int,
     seed: int,
-    threshold=None,
     caps: EnumerationCaps = DEFAULT_CAPS,
 ) -> FinalWindowReport:
     """Sample traces; condition on a clean tree prefix at iteration `index`.
@@ -343,13 +343,13 @@ def final_window_experiment(
     trace history, pruned for (f, index, tau), and the trace's own position
     picks the sampling path; the prefix length is the trace's z draw.  For
     trials passing that event, the final window's density at `index` is
-    compared against the threshold.  Requires desk-scale windows
+    compared against the threshold 2/m.  Requires desk-scale windows
     (2^s0 within the vertex cap).
     """
     if not 1 <= index <= params.m:
         raise ValueError(f"index {index} outside [1, {params.m}]")
     tau = Fraction(tau)
-    threshold = Fraction(2, params.m) if threshold is None else Fraction(threshold)
+    threshold = Fraction(2, params.m)
     caps.check("max_vertices", pow2(params.s0))
 
     conditioned = 0

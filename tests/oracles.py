@@ -17,19 +17,23 @@ check's largest independent-set mass is kept as a sum over every maximal
 set of the whole graph, as the reference for the one over the support;
 the hard law is kept as its recursion over every (Y, Z) draw, with the
 outcome count walked by a second recursion, as the reference for the
-one pass per exponent ladder; and a sample trace's JSON record is kept
+one pass per exponent ladder; a sample trace's JSON record is kept
 with every field converted by itself through `int_str`, as the reference
-for the one that prints each X_i from the Decimal sum X_{i-1} + Y_i.
+for the one that prints each X_i from the Decimal sum X_{i-1} + Y_i; the
+label route to a conflict graph's maximal sets is kept with one
+`independent_set_of` per label function and maximality recounted
+pairwise, as the reference for the one on vertex bitmasks; and first-fit
+colouring gives chromatic searches an upper bound that does not search.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import networkx as nx
 
 from mmphf_lab.caps import DEFAULT_CAPS
-from mmphf_lab.graphs import bit_indices
+from mmphf_lab.graphs import bit_indices, independent_set_of, iter_label_functions
 from mmphf_lab.harddist import ExplicitTupleDistribution
 from mmphf_lab.rng import GENERATOR_NAME, hash64
 from mmphf_lab.serialize import int_str
@@ -88,14 +92,40 @@ def brute_lp_chi_f(num_vertices, sets):
     return best
 
 
+def _conflict(a, b):
+    """Shared element at different slots."""
+    pos = {e: i for i, e in enumerate(a)}
+    return any(pos.get(e, j) != j for j, e in enumerate(b))
+
+
 def count_conflict_edges(vertices):
     """Pairwise recount of conflict adjacency: shared element, different slot."""
-    edges = 0
-    for a, b in combinations(vertices, 2):
-        pos = {e: i for i, e in enumerate(a)}
-        if any(pos.get(e, j) != j for j, e in enumerate(b)):
-            edges += 1
-    return edges
+    return sum(1 for a, b in combinations(vertices, 2) if _conflict(a, b))
+
+
+def reference_maximal_independent_sets(spec):
+    """Each nonempty, maximal I(f) of a conflict graph once, in the order of
+    the first label function f giving it; I(f) from `independent_set_of`,
+    maximality recounted pairwise on the vertex tuples."""
+    vertices = list(combinations(spec.universe, spec.m))
+    out = []
+    for f in iter_label_functions(spec.universe, spec.m):
+        iset = independent_set_of(f, spec)
+        if iset and iset not in out and all(
+            v in iset or any(_conflict(v, w) for w in iset) for v in vertices
+        ):
+            out.append(iset)
+    return out
+
+
+def first_fit_coloring(graph):
+    """Each vertex in canonical order takes the smallest colour no earlier
+    neighbour uses; an upper bound on chi."""
+    colors = []
+    for v in range(graph.n):
+        used = {colors[w] for w in bit_indices(graph.adj_bits[v]) if w < v}
+        colors.append(next(c for c in count() if c not in used))
+    return colors
 
 
 def is_acyclic(num_vertices, edges):

@@ -165,7 +165,7 @@ def test_04_sampler_structural_suite():
             assert (params.k, params.s0) == (27, 531441)
         for t in range(10_000):
             trace = sample(params, derive_seed(7_000 + m, t))
-            ok, violations = verify_trace(trace, params)
+            ok, violations = verify_trace(trace)
             assert ok, violations
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
@@ -181,7 +181,7 @@ def test_05_exact_distribution_oracle():
     assert Fraction(hits, 4096) == Fraction(17, 512)
     f = {e: (1 if e <= 256 else 2) for e in range(1, dist.universe_size + 1)}
     assert success_probability(dist, f) == Fraction(17, 512)
-    mc = monte_carlo_success(params, f, trials=100_000, seed=99, confidence=0.99)
+    mc = monte_carlo_success(params, f, trials=100_000, seed=99)
     assert mc.ci_low <= float(Fraction(17, 512)) <= mc.ci_high
 
 
@@ -243,8 +243,9 @@ def test_07_case1_inequality():
         delta = min(result.survival_product + Fraction(rng.choice_index(10), 20), Fraction(1))
         assert result.survival_product <= delta
         fired += 1
-        assert density(tree.window(0, 0), f, 1) <= delta + tau
-        assert case1_inequality_check(tree, f, 1, tau, delta)
+        root_density = density(tree.window(0, 0), f, 1)
+        assert root_density <= delta + tau
+        assert case1_inequality_check(result, root_density, delta)
     assert fired == 1000
 
 
@@ -284,7 +285,7 @@ def test_09_rank_index_pipeline():
     assert is_proper_coloring(g, witness)
     chi_f = fractional_chromatic_number(g, include_chi=False).chi_f
     for scheme in SCHEMES:
-        colors = extract_coloring(scheme, spec, seed=17)
+        colors = extract_coloring(scheme, g, seed=17)
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 if g.has_edge(i, j):
@@ -293,7 +294,7 @@ def test_09_rank_index_pipeline():
         assert rep.schemes[scheme].distinct >= chi >= chi_f
         assert rep.chi == chi and rep.chi_f == chi_f
     with pytest.raises(SchemeViolationError):
-        extract_coloring(SCHEME_BROKEN, spec)
+        extract_coloring(SCHEME_BROKEN, g)
 
 
 @_announce(10, "bit-string encoding round-trips and forces index growth")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from fresh import run_cli_fresh
-from mmphf_lab import mmphf, serialize
+from mmphf_lab import mmphf, serialize, windowtree
 from mmphf_lab.cli import main
 from mmphf_lab.rng import derive_seed
 from mmphf_lab.serialize import int_str
@@ -199,6 +199,14 @@ class TestCase1Sweep:
         assert code == 0 and data["all_hold"]
         assert len(data["instances"]) == 25
 
+    def test_one_prune_per_instance(self, capsys, monkeypatch):
+        calls = []
+        prune = windowtree.prune
+        monkeypatch.setattr(windowtree, "prune", lambda *args: calls.append(args) or prune(*args))
+        code, out, _ = run_cli(capsys, "case1-sweep", "--instances", "100")
+        assert code == 0 and json.loads(out)["all_hold"]
+        assert len(calls) == 100
+
 
 class TestMmphfVerify:
     def test_inline_keys(self, capsys):
@@ -256,6 +264,18 @@ class TestBoundReport:
         assert code == 0
         assert data["chi"] == 2 and data["chi_f"] == "2/1"
         assert data["lower_bound_bits"] == -0.5
+
+    def test_builds_one_graph(self, capsys, monkeypatch):
+        specs = []
+        build_graph = mmphf.build_graph
+        monkeypatch.setattr(
+            mmphf, "build_graph", lambda spec, *rest: specs.append(spec) or build_graph(spec, *rest)
+        )
+        code, out, _ = run_cli(
+            capsys, "bound-report", "--scheme", "explicit-set", "--m", "2", "--M", "5"
+        )
+        assert code == 0 and json.loads(out)["chi"] == 3
+        assert len(specs) == 1
 
 
 class TestSxRoundtrip:

@@ -14,7 +14,6 @@ from mmphf_lab.coloring import (
     evaluate_dual_witness,
     fractional_chromatic_number,
     greedy_clique_lower_bound,
-    greedy_coloring,
     is_proper_coloring,
     k_colorable,
     max_mass,
@@ -36,6 +35,7 @@ from mmphf_lab.rng import BitSampler
 
 from oracles import (
     brute_lp_chi_f,
+    first_fit_coloring,
     is_acyclic,
     is_bipartite,
     networkx_maximal_independent_sets,
@@ -116,13 +116,13 @@ class TestChromaticNumber:
 def assert_matches_reference(g):
     """k_colorable equals the reference DSATUR for every k between the bounds."""
     lo = greedy_clique_lower_bound(g)
-    hi = max(greedy_coloring(g)) + 1
+    hi = max(first_fit_coloring(g)) + 1
     for k in range(lo, hi + 1):
         assert k_colorable(g, k) == reference_k_colorable(g, k), k
 
 
 def reference_chromatic_number(g):
-    for k in range(max(2, greedy_clique_lower_bound(g)), max(greedy_coloring(g)) + 2):
+    for k in range(max(2, greedy_clique_lower_bound(g)), max(first_fit_coloring(g)) + 2):
         witness = reference_k_colorable(g, k)
         if witness is not None:
             return k, witness

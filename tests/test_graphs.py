@@ -19,7 +19,11 @@ from mmphf_lab.graphs import (
     vertex_count,
 )
 
-from oracles import count_conflict_edges, networkx_maximal_independent_sets
+from oracles import (
+    count_conflict_edges,
+    networkx_maximal_independent_sets,
+    reference_maximal_independent_sets,
+)
 
 
 def complete(n):
@@ -240,6 +244,20 @@ class TestMaximalIndependentSets:
             for s in networkx_maximal_independent_sets(g.n, g.edges)
         }
         assert via_labels == via_bk == via_nx
+
+    def test_conflict_3_7_reads_the_built_graph(self, monkeypatch):
+        # the vertex cap is checked once, where the graph is built, not per label function
+        names = []
+        check = EnumerationCaps.check
+        monkeypatch.setattr(
+            EnumerationCaps, "check",
+            lambda caps, name, required: names.append(name) or check(caps, name, required),
+        )
+        spec = ConflictSpec(3, 7)
+        sets = maximal_independent_sets(spec)
+        assert names.count("max_vertices") == 1
+        monkeypatch.undo()
+        assert sets == reference_maximal_independent_sets(spec)
 
     def test_conflict_1_3_single_set(self):
         sets = maximal_independent_sets(ConflictSpec(1, 3))

@@ -260,7 +260,7 @@ class TestVerifyTrace:
 
     def test_clean_traces_pass(self):
         for seed in range(50):
-            ok, bad = verify_trace(sample(TOY, seed), TOY)
+            ok, bad = verify_trace(sample(TOY, seed))
             assert ok and bad == []
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mmphf_lab import mmphf
 from mmphf_lab.caps import EnumerationCaps
 from mmphf_lab.errors import CorruptIndexError, EnumerationCapExceeded, SchemeViolationError
-from mmphf_lab.graphs import ConflictSpec
+from mmphf_lab.graphs import ConflictSpec, build_graph
 from mmphf_lab.mmphf import (
     SCHEME_BROKEN,
     SCHEME_EXPLICIT_SET,
@@ -298,11 +298,11 @@ class TestEncodeDecode:
 
 class TestExtractColoring:
     def test_explicit_set_injective_on_conflict_2_4(self):
-        colors = extract_coloring(SCHEME_EXPLICIT_SET, ConflictSpec(2, 4))
+        colors = extract_coloring(SCHEME_EXPLICIT_SET, build_graph(ConflictSpec(2, 4)))
         assert len(set(colors.values())) == 6
 
     def test_rank_map_proper_on_conflict_2_8(self):
-        colors = extract_coloring(SCHEME_RANK_MAP, ConflictSpec(2, 8), seed=11)
+        colors = extract_coloring(SCHEME_RANK_MAP, build_graph(ConflictSpec(2, 8)), seed=11)
         assert len(colors) == 28
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -312,12 +312,21 @@ class TestExtractColoring:
     def test_proper_coloring_sweep(self, scheme, m, M):
         # extract_coloring raises on any monochromatic edge, so returning at
         # all certifies a proper coloring of the whole graph
-        colors = extract_coloring(scheme, ConflictSpec(m, M), seed=29)
+        colors = extract_coloring(scheme, build_graph(ConflictSpec(m, M)), seed=29)
         assert len(colors) == math.comb(M, m)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_offset_graph_takes_u_from_its_vertices(self, scheme):
+        # the largest element of conflict(2, 6, offset=9) is offset + M = 15
+        graph = build_graph(ConflictSpec(2, 6, offset=9))
+        colors = extract_coloring(scheme, graph, seed=3)
+        assert colors == {
+            v: build(scheme, KeySet(elements=v, u=15), seed=3).payload for v in graph.vertices
+        }
 
     def test_broken_scheme_caught(self):
         with pytest.raises(SchemeViolationError):
-            extract_coloring(SCHEME_BROKEN, ConflictSpec(2, 4))
+            extract_coloring(SCHEME_BROKEN, build_graph(ConflictSpec(2, 4)))
 
 
 class TestBoundReport:

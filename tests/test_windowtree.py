@@ -220,13 +220,15 @@ class TestCase1:
     def test_worked_example(self):
         t = build_tree(WindowTreeSpec(arity=2, depth=1, start=1, length=4))
         f = {1: 1, 2: 1, 3: 2, 4: 2}
-        assert case1_inequality_check(t, f, 1, Fraction(2, 5), Fraction(1, 2))
+        result = prune(t, f, 1, Fraction(2, 5))
+        assert case1_inequality_check(result, density(t.window(0, 0), f, 1), Fraction(1, 2))
 
     def test_absent_index(self):
         t = tree_2_2()
         f = {e: 2 for e in range(1, 5)}
+        result = prune(t, f, 1, Fraction(1, 2))
         for delta in (Fraction(0), Fraction(1, 10), Fraction(1)):
-            assert case1_inequality_check(t, f, 1, Fraction(1, 2), delta)
+            assert case1_inequality_check(result, density(t.window(0, 0), f, 1), delta)
 
     def test_randomized_sweep_with_leaf_identity(self):
         rng = BitSampler(99)
@@ -242,10 +244,11 @@ class TestCase1:
             result = prune(t, f, 1, tau)
             assert result.kept_leaf_fraction == result.survival_product
             delta = min(result.survival_product + Fraction(rng.choice_index(5), 10), Fraction(1))
+            root_density = density(t.window(0, 0), f, 1)
             if result.survival_product <= delta:
                 fired += 1
-                assert density(t.window(0, 0), f, 1) <= delta + tau
-            assert case1_inequality_check(t, f, 1, tau, delta)
+                assert root_density <= delta + tau
+            assert case1_inequality_check(result, root_density, delta)
         assert fired > 200  # the sweep mostly exercises the non-vacuous case
 
 
