@@ -4,6 +4,12 @@ Every exhaustive enumeration in the package (graph vertices, label
 functions, distribution outcomes, the nodes of the chromatic-number
 search) is guarded by a cap from this module, and so is the one exact
 integer too wide to build, the exponent of `mmphf.parameterize`'s u'.
+A built graph's memory is bounded too: `max_adjacency_bits` caps n² for
+n vertices.  A graph holds n bitmasks of n bits and an edge list of
+about 70 bytes per edge; building a complete graph on 3,000 vertices
+peaked at 36 bytes per adjacency bit.  So the default, 52·10⁶
+(n ≤ 7,211), keeps every graph it admits under 1.9 GB, inside a 2 GiB
+address space, and it admits shift(2,120) (7,140 vertices).
 The true parameters of the constructions are astronomically large and
 must be rejected loudly rather than truncated: `EnumerationCaps.check`
 is the one place that compares a required count with its cap and raises
@@ -23,6 +29,7 @@ class EnumerationCaps:
     max_outcomes: int = 10**7
     max_search_nodes: int = 10**6
     max_exponent_bits: int = 10**6
+    max_adjacency_bits: int = 52 * 10**6
 
     def __post_init__(self):
         for f in fields(self):

@@ -15,6 +15,7 @@ function adding its flags, and a body returning (payload, rows, ok).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -51,7 +52,9 @@ def main(argv=None) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog=PROG,
         description="exact experiments on conflict graphs, fractional coloring "

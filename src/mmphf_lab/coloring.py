@@ -19,9 +19,15 @@ count; each k-colorability test peels vertices of degree < k (always
 extendable afterwards) and then runs DSATUR backtracking with forward
 checking on bitmasks: saturation buckets over one static degree order
 pick the next vertex, and only one color never used on the path is tried
-per node, since such colors are interchangeable.  Tie-breaking follows
-the canonical vertex order, so results are deterministic, and the search
-nodes of one `chromatic_number` call are capped by max_search_nodes.
+per node, since such colors are interchangeable.  Residual problems the
+search has refuted are recorded, up to relabelling of the colors in use,
+and skipped when met again; a state is recorded only once its failed
+subtree owns REFUTE_MIN_NODES nodes no other recorded state owns, so at
+most max_search_nodes // REFUTE_MIN_NODES states are kept.  A skipped
+problem has no coloring, so the first coloring found is unchanged.
+Tie-breaking follows the canonical vertex order, so results are
+deterministic, and the search nodes of one `chromatic_number` call are
+capped by max_search_nodes.
 
 Dual witnesses double as vertex distributions: a distribution mu
 certifies chi_f >= 1 / max_mass(graph, mu), and the optimal dual rescaled
@@ -44,6 +50,8 @@ from .serialize import frac_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# a failed search subtree records its state once it owns this many nodes
+REFUTE_MIN_NODES = 64
 
 
 @dataclass
@@ -178,7 +186,7 @@ def _k_coloring(graph: Graph, k: int, caps: EnumerationCaps, spent: int) -> tupl
                 changed = True
     colors = [-1] * n
     if alive:
-        found, spent = _color_core(graph, alive, k, colors, caps, spent)
+        found, spent = _color_core(graph, alive, k, colors, caps, spent, {})
         if not found:
             return None, spent
     for v in reversed(peel_order):
@@ -188,7 +196,8 @@ def _k_coloring(graph: Graph, k: int, caps: EnumerationCaps, spent: int) -> tupl
 
 
 def _color_core(
-    graph: Graph, core: int, k: int, colors: list, caps: EnumerationCaps, spent: int
+    graph: Graph, core: int, k: int, colors: list, caps: EnumerationCaps, spent: int,
+    refuted: dict,
 ) -> tuple:
     """DSATUR with forward checking on the core bitmask: (found, nodes spent so far).
 
@@ -201,6 +210,22 @@ def _color_core(
     `used` up lie in every uncolored domain and are interchangeable, so
     only the first of them is tried; the subtrees skipped hold no coloring,
     and the first coloring found is the one plain ascending order finds.
+
+    `refuted`, an empty dict from the caller, collects residual problems
+    with no coloring (nogoods, after Dechter), mapping uncolored positions
+    to a set of keys: a node's state is its uncolored positions and the
+    domains `has[c] & uncolored` of the colors c < used, sorted so that
+    states differing by a relabelling of those colors meet; colors from
+    `used` up have full domains and need no entry.  The dict lookup on the
+    uncolored positions comes first and the key is built only on a match;
+    a node whose state is recorded returns False at once and is not
+    counted.  A failed node records its state when its subtree spent at
+    least REFUTE_MIN_NODES nodes that no state recorded inside it owns;
+    those nodes become its own.  So at most max_search_nodes //
+    REFUTE_MIN_NODES states are ever kept, with no count of their own, and
+    the node count does not depend on the cap.  A skipped subtree holds no
+    coloring, so the first coloring found is still the one the search
+    without `refuted` finds.
     """
     adj = graph.adj_bits
     order = sorted(bit_indices(core), key=lambda v: (-(adj[v] & core).bit_count(), v))
@@ -211,11 +236,19 @@ def _color_core(
     bucket = [everyone] + [0] * (k - 1)
     limit = caps.max_search_nodes
     top = k - 1
+    charged = 0  # nodes owned by the states in refuted
+
+    def state_key(uncolored: int, used: int) -> tuple:
+        return tuple(sorted(has[c] & uncolored for c in range(used)))
 
     def rec(uncolored: int, used: int) -> bool:
-        nonlocal spent
+        nonlocal spent, charged
         if not uncolored:
             return True
+        keys = refuted.get(uncolored)
+        if keys is not None and state_key(uncolored, used) in keys:
+            return False
+        entry, charged_at_entry, state = spent, charged, uncolored
         spent += 1
         if spent > limit:
             caps.check("max_search_nodes", spent)
@@ -250,6 +283,10 @@ def _color_core(
             has[c] ^= hit
             bucket[:] = saved
         bucket[s] |= low
+        free = spent - entry - (charged - charged_at_entry)
+        if free >= REFUTE_MIN_NODES:
+            charged += free
+            refuted.setdefault(state, set()).add(state_key(state, used))
         return False
 
     return rec(everyone, 0), spent

@@ -1,10 +1,13 @@
 """Graph families over increasing integer tuples.
 
-Each kind of graph has one builder, and every builder checks
-`max_vertices` before it enumerates:
+Each kind of graph has one builder, and `build_graph` and `or_product`
+check `max_vertices` and then `max_adjacency_bits` (n² for n vertices,
+a bound on the graph's memory) before they enumerate; `explicit_graph`
+checks `max_vertices`:
 
 * `build_graph` builds the two tuple families of a `GraphSpec`, which
-  share one vertex vocabulary:
+  share one vertex vocabulary, from their structure, without testing
+  vertex pairs:
   - conflict graphs: vertices are the size-m subsets of an (optionally
     offset) universe, written as strictly increasing tuples; two vertices
     conflict when they share an element at two different positions, i.e.
@@ -17,7 +20,9 @@ Each kind of graph has one builder, and every builder checks
 * `explicit_graph` builds a graph from arbitrary vertex and edge lists,
   used for small test inputs and cross-checks.
 
-The pairwise predicate `adjacent` covers the two tuple families only.
+The pairwise predicate `adjacent` covers the two tuple families only;
+`build_graph` does not call it, and the tests check the builder against
+a scan of all vertex pairs with it.
 
 Maximal independent sets of a conflict graph are in bijection with label
 functions f mapping each universe element to a position in [m]: the set
@@ -32,8 +37,9 @@ All values are immutable after construction and all operations are pure.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, product as iter_product
+from itertools import combinations, compress, product as iter_product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
@@ -138,6 +144,9 @@ def product_index(i1: int, i2: int, n2: int) -> int:
     return i1 * n2 + i2
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 @dataclass
 class Graph:
     """An explicitly enumerated graph: canonical vertex list plus adjacency.
@@ -153,9 +162,13 @@ class Graph:
 
     def __post_init__(self):
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = [
-            (i, j) for i, mask in enumerate(self.adj_bits) for j in bit_indices(mask) if j > i
-        ]
+        # row i's bits above i become a 0/1 byte string selecting j from one
+        # shared id list: a dense row is read in C, and no edge makes a new int
+        ids = list(range(len(self.adj_bits)))
+        self.edges = []
+        for i, mask in zip(ids, self.adj_bits):
+            above = bin(mask >> i + 1 << i + 1)[:1:-1].encode().translate(_BIT_BYTES)
+            self.edges.extend(zip(repeat(i), compress(ids, above)))
 
     @property
     def n(self) -> int:
@@ -168,29 +181,58 @@ class Graph:
         return bool(self.adj_bits[i] >> j & 1)
 
 
-def _graph_from_pairs(vertices: list, pairs: Iterable) -> Graph:
-    """The graph on vertices whose edges are the index pairs (i, j)."""
-    adj_bits = [0] * len(vertices)
-    for i, j in pairs:
-        adj_bits[i] |= 1 << j
-        adj_bits[j] |= 1 << i
-    return Graph(vertices=vertices, adj_bits=adj_bits)
-
-
 def build_graph(spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
-    """Enumerate a tuple family into an explicit graph, respecting the vertex cap."""
-    caps.check("max_vertices", vertex_count(spec))
+    """Enumerate a tuple family into an explicit graph from its structure.
+
+    `max_vertices` and then `max_adjacency_bits` (n² for n vertices) are
+    checked before anything is enumerated.  No vertex pair is tested:
+    each vertex is filed under the keys its neighbours are found by, and a
+    neighbourhood is an OR of those files' bitmasks.
+
+    * conflict: w ~ v when w holds an element e of v at a position other
+      than e's position p in v, so adj[v] is the OR over v's (e, p) of
+      holders[e] & ~holders_at[p, e];
+    * shift: the successors of v are the vertices whose first n-1 elements
+      are v[1:], and its predecessors those whose last n-1 elements are
+      v[:-1]; v itself is removed, which matters only for n = 1, where
+      every prefix is () and the graph is complete.
+
+    The result equals the pair scan with `adjacent`, the tests' reference.
+    """
+    n = vertex_count(spec)
+    caps.check("max_vertices", n)
+    caps.check("max_adjacency_bits", n * n)
     vertices = list(iter_vertices(spec))
-    return _graph_from_pairs(vertices, (
-        (i, j) for i, j in combinations(range(len(vertices)), 2)
-        if adjacent(spec, vertices[i], vertices[j])
-    ))
+    if isinstance(spec, ConflictSpec):
+        holders_at = defaultdict(int)  # (p, e) -> vertices holding e at position p
+        for i, v in enumerate(vertices):
+            bit = 1 << i
+            for key in enumerate(v):
+                holders_at[key] |= bit
+        holders = defaultdict(int)
+        for (_, e), mask in holders_at.items():
+            holders[e] |= mask
+        elsewhere = {(p, e): holders[e] & ~mask for (p, e), mask in holders_at.items()}
+        adj_bits = [0] * n
+        for i, v in enumerate(vertices):
+            for key in enumerate(v):
+                adj_bits[i] |= elsewhere[key]
+    else:
+        prefix, suffix = defaultdict(int), defaultdict(int)
+        for i, v in enumerate(vertices):
+            prefix[v[:-1]] |= 1 << i
+            suffix[v[1:]] |= 1 << i
+        adj_bits = [
+            (prefix[v[1:]] | suffix[v[:-1]]) & ~(1 << i) for i, v in enumerate(vertices)
+        ]
+    return Graph(vertices=vertices, adj_bits=adj_bits)
 
 
 def or_product(g1: Graph, g2: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     """The or-product of two built graphs: (i1, i2) ~ (j1, j2) iff i1 ~ j1 or i2 ~ j2."""
     n1, n2 = g1.n, g2.n
     caps.check("max_vertices", n1 * n2)
+    caps.check("max_adjacency_bits", (n1 * n2) ** 2)
     full2 = (1 << n2) - 1
     # in block j1 the neighbours of (i1, i2) are the whole block when i1 ~ j1
     # and the neighbourhood of i2 otherwise; the blocks are disjoint, so sum is or
@@ -209,14 +251,16 @@ def explicit_graph(vertices: Iterable, edges: Iterable) -> Graph:
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise ValueError("duplicate vertices in explicit graph")
-    pairs = []
+    adj_bits = [0] * len(vertices)
     for a, b in edges:
         if a not in index or b not in index:
             raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex")
         if a == b:
             raise ValueError("self-loops are not allowed")
-        pairs.append((index[a], index[b]))
-    return _graph_from_pairs(vertices, pairs)
+        i, j = index[a], index[b]
+        adj_bits[i] |= 1 << j
+        adj_bits[j] |= 1 << i
+    return Graph(vertices=vertices, adj_bits=adj_bits)
 
 
 # ---------------------------------------------------------------------------

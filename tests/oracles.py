@@ -22,8 +22,11 @@ with every field converted by itself through `int_str`, as the reference
 for the one that prints each X_i from the Decimal sum X_{i-1} + Y_i; the
 label route to a conflict graph's maximal sets is kept with one
 `independent_set_of` per label function and maximality recounted
-pairwise, as the reference for the one on vertex bitmasks; and first-fit
-colouring gives chromatic searches an upper bound that does not search.
+pairwise, as the reference for the one on vertex bitmasks; the tuple
+families' adjacency is kept as the scan of every vertex pair with
+`graphs.adjacent`, as the reference for the builder that reads it off
+their structure; and first-fit colouring gives chromatic searches an
+upper bound that does not search.
 """
 
 import math
@@ -33,7 +36,8 @@ from itertools import combinations, count
 import networkx as nx
 
 from mmphf_lab.caps import DEFAULT_CAPS
-from mmphf_lab.graphs import bit_indices, independent_set_of, iter_label_functions
+from mmphf_lab.graphs import adjacent, bit_indices, independent_set_of, iter_label_functions
+from mmphf_lab.graphs import iter_vertices
 from mmphf_lab.harddist import ExplicitTupleDistribution
 from mmphf_lab.rng import GENERATOR_NAME, hash64
 from mmphf_lab.serialize import int_str
@@ -96,6 +100,18 @@ def _conflict(a, b):
     """Shared element at different slots."""
     pos = {e: i for i, e in enumerate(a)}
     return any(pos.get(e, j) != j for j, e in enumerate(b))
+
+
+def reference_adj_bits(spec):
+    """`graphs.build_graph`'s adjacency bitmasks before it was built from structure:
+    every vertex pair tested with the public predicate `adjacent`."""
+    vertices = list(iter_vertices(spec))
+    adj_bits = [0] * len(vertices)
+    for i, j in combinations(range(len(vertices)), 2):
+        if adjacent(spec, vertices[i], vertices[j]):
+            adj_bits[i] |= 1 << j
+            adj_bits[j] |= 1 << i
+    return adj_bits
 
 
 def count_conflict_edges(vertices):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 import re
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from fresh import run_cli_fresh
-from mmphf_lab import mmphf, serialize, windowtree
+from mmphf_lab import cli, mmphf, serialize, windowtree
 from mmphf_lab.cli import main
 from mmphf_lab.rng import derive_seed
 from mmphf_lab.serialize import int_str
@@ -574,6 +575,19 @@ class TestAstronomicalInputs:
         assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_outcomes "
                                "(required 2199023255550 > limit 10000000)\n")
 
+    def test_shift_2_120_graph_builds(self):
+        proc = run_cli_fresh("graph", "--graph", "shift", "--n", "2", "--u", "120", timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert (data["vertices"], data["edges"]) == (7140, math.comb(120, 3))
+
+    def test_shift_2_1000_graph_names_the_adjacency_cap(self):
+        # 499,500 vertices are under max_vertices, but their bitmasks are not
+        proc = run_cli_fresh("graph", "--graph", "shift", "--n", "2", "--u", "1000", timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_adjacency_bits "
+                               "(required 249500250000 > limit 52000000)\n")
+
     def test_case1_sweep_tree_names_the_cap_before_building_levels(self):
         proc = run_cli_fresh(
             "case1-sweep", "--instances", "1", "--max-arity", "100000", "--max-depth", "100000",
@@ -587,6 +601,18 @@ class TestAstronomicalInputs:
 
 
 class TestUsage:
+    def test_one_parser_serves_successive_calls(self, capsys):
+        graph = ["--graph", "conflict", "--m", "2", "--M", "5"]
+        calls = [["chif", *graph, "--skip-chi"], ["chif", *graph]]
+        results = [run_cli(capsys, *argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        skipped, full = (json.loads(out) for _, out, _ in results)
+        assert "chi" not in skipped and skipped["meta"]["config"]["skip_chi"] is True
+        assert full["chi"] == 3 and full["meta"]["config"]["skip_chi"] is False
+        for argv, result in zip(calls, results):
+            proc = run_cli_fresh(*argv)
+            assert result == (proc.returncode, proc.stdout, proc.stderr)
+
     def test_unknown_flag_exit_2(self, capsys):
         code = main(["chif", "--graph", "conflict", "--m", "2", "--M", "4", "--bogus"])
         capsys.readouterr()

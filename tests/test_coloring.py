@@ -128,8 +128,10 @@ def reference_chromatic_number(g):
             return k, witness
 
 
-# search nodes chromatic_number spends on shift(2,15), the benchmark's chi input
-SHIFT_2_15_NODES = 47335
+# search nodes chromatic_number spends on shift(2,15), the benchmark's chi input;
+# the search without recorded refutations spends 47,335
+SHIFT_2_15_NODES = 17430
+SHIFT_2_15_PLAIN_NODES = 47335
 
 
 class TestBucketDsatur:
@@ -161,6 +163,95 @@ class TestBucketDsatur:
         assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
             "max_search_nodes", SHIFT_2_15_NODES, SHIFT_2_15_NODES - 1,
         )
+
+
+def plain_search(monkeypatch):
+    """Make the search record no refutation, as it was before it recorded any."""
+    monkeypatch.setattr(coloring, "REFUTE_MIN_NODES", 1 << 62)
+
+
+def keep_refuted(monkeypatch):
+    """The `refuted` dicts of every `_color_core` call from now on, as a list."""
+    kept = []
+    real = coloring._color_core
+
+    def keeping(*args):
+        kept.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(coloring, "_color_core", keeping)
+    return kept
+
+
+def stored(kept):
+    return sum(len(keys) for refuted in kept for keys in refuted.values())
+
+
+def random_graph(seed):
+    """A seeded graph on 20 to 45 vertices with edge density 0.2 to 0.7."""
+    rng = BitSampler(seed)
+    n = 20 + rng.choice_index(26)
+    tenths = 2 + rng.choice_index(6)
+    return explicit_graph(
+        range(n), [e for e in combinations(range(n), 2) if rng.choice_index(10) < tenths]
+    )
+
+
+class TestRefutedStates:
+    """Recorded refutations save search nodes and change no colouring."""
+
+    @staticmethod
+    def states_stored(monkeypatch, g):
+        """States the search on g stores; its colouring must be the plain search's."""
+        with monkeypatch.context() as mp:
+            kept = keep_refuted(mp)
+            found = chromatic_number(g)
+        with monkeypatch.context() as mp:
+            plain_search(mp)
+            assert chromatic_number(g) == found
+        return stored(kept)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ShiftSpec(2, u) for u in range(9, 17)]
+        + [ConflictSpec(3, M, offset) for M in (9, 10) for offset in (0, 4, 17)]
+        + [ConflictSpec(4, 9, 7)],
+        ids=repr,
+    )
+    def test_tuple_families(self, monkeypatch, spec):
+        assert self.states_stored(monkeypatch, build_graph(spec)) > 0
+
+    def test_c5_or_c5(self, monkeypatch):
+        assert self.states_stored(monkeypatch, or_product(cycle(5), cycle(5))) > 0
+
+    def test_random_graphs(self, monkeypatch):
+        used = [
+            self.states_stored(monkeypatch, random_graph(seed)) > 0
+            for seed in range(40)
+        ]
+        assert sum(used) >= 10
+
+    def test_shift_2_16_matches_reference(self):
+        g = build_graph(ShiftSpec(2, 16))
+        assert chromatic_number(g) == reference_chromatic_number(g)
+
+    def test_plain_search_spends_more_nodes_on_shift_2_15(self, monkeypatch):
+        plain_search(monkeypatch)
+        g = build_graph(ShiftSpec(2, 15))
+        assert chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_PLAIN_NODES))[0] == 4
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_PLAIN_NODES - 1))
+        assert exc.value.required == SHIFT_2_15_PLAIN_NODES > SHIFT_2_15_NODES
+
+    @pytest.mark.parametrize("limit", [SHIFT_2_15_NODES, 5000, 640])
+    def test_stored_states_bounded(self, monkeypatch, limit):
+        kept = keep_refuted(monkeypatch)
+        g = build_graph(ShiftSpec(2, 15))
+        try:
+            chromatic_number(g, EnumerationCaps(max_search_nodes=limit))
+        except EnumerationCapExceeded:
+            assert limit < SHIFT_2_15_NODES
+        assert 0 < stored(kept) <= limit // coloring.REFUTE_MIN_NODES
 
 
 class TestFractionalChromaticNumber:

@@ -13,6 +13,7 @@ from mmphf_lab.graphs import (
     independent_set_of,
     is_independent_set,
     iter_label_functions,
+    iter_vertices,
     maximal_independent_sets,
     or_product,
     to_dimacs,
@@ -22,6 +23,7 @@ from mmphf_lab.graphs import (
 from oracles import (
     count_conflict_edges,
     networkx_maximal_independent_sets,
+    reference_adj_bits,
     reference_maximal_independent_sets,
 )
 
@@ -106,6 +108,28 @@ class TestBuildGraph:
         assert g.vertices[0] == (11, 12)
         assert g.vertices[-1] == (12, 13)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ConflictSpec(m, M, offset) for m in range(1, 5) for M in range(m, 9) for offset in (0, 5)]
+        + [ShiftSpec(n, u) for n in range(1, 5) for u in range(n, 11)],
+        ids=repr,
+    )
+    def test_structure_matches_pair_scan(self, spec):
+        g = build_graph(spec)
+        assert g.vertices == list(iter_vertices(spec))
+        assert g.adj_bits == reference_adj_bits(spec)
+
+    def test_adjacency_cap_before_enumeration(self):
+        # shift(2,1000) has 499,500 vertices, under max_vertices
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            build_graph(ShiftSpec(2, 1000))
+        assert (exc.value.cap_name, exc.value.required) == ("max_adjacency_bits", 499500**2)
+        caps = EnumerationCaps(max_adjacency_bits=35**2)
+        assert build_graph(ConflictSpec(3, 7), caps).n == 35
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            build_graph(ConflictSpec(3, 7), EnumerationCaps(max_adjacency_bits=35**2 - 1))
+        assert (exc.value.cap_name, exc.value.required) == ("max_adjacency_bits", 35**2)
+
     def test_shift_subgraph_of_conflict(self):
         for (n, u) in [(2, 6), (2, 8), (3, 6)]:
             shift = build_graph(ShiftSpec(n, u))
@@ -175,6 +199,14 @@ class TestProduct:
             "max_vertices", 25, 24
         )
         assert or_product(c5(), c5(), EnumerationCaps(max_vertices=25)).n == 25
+
+    def test_adjacency_cap_at_the_boundary(self):
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            or_product(c5(), c5(), EnumerationCaps(max_adjacency_bits=624))
+        assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
+            "max_adjacency_bits", 625, 624
+        )
+        assert or_product(c5(), c5(), EnumerationCaps(max_adjacency_bits=625)).n == 25
 
     def test_independent_sets_have_independent_projections(self):
         g1, g2 = c5(), complete(2)
@@ -330,7 +362,7 @@ class TestValidation:
 
     def test_caps_validation(self):
         for name in ("max_vertices", "max_label_functions", "max_outcomes", "max_search_nodes",
-                     "max_exponent_bits"):
+                     "max_exponent_bits", "max_adjacency_bits"):
             with pytest.raises(ValueError, match=name):
                 EnumerationCaps(**{name: 0})
 
