@@ -31,7 +31,7 @@ section("Conflict graph on 2-subsets of [1, 4]")
 spec = ConflictSpec(2, 4)
 g = build_graph(spec)
 print(f"vertices ({g.n}):", g.vertices)
-print(f"edges ({len(g.edges)}):", [(g.vertices[i], g.vertices[j]) for i, j in g.edges])
+print(f"edges ({g.edge_count()}):", [(g.vertices[i], g.vertices[j]) for i, j in g.edges()])
 print("(1,3) ~ (3,5) in conflict(2,5)?", adjacent(ConflictSpec(2, 5), (1, 3), (3, 5)))
 print("(1,3) ~ (1,5)?", adjacent(ConflictSpec(2, 5), (1, 3), (1, 5)), "(same slot)")
 
@@ -58,7 +58,7 @@ for u in (4, 6, 8):
     sg = build_graph(ShiftSpec(2, u))
     chi, _ = chromatic_number(sg)
     chif = fractional_chromatic_number(sg, include_chi=False).chi_f
-    print(f"shift(2,{u}): {sg.n} vertices, {len(sg.edges)} edges, "
+    print(f"shift(2,{u}): {sg.n} vertices, {sg.edge_count()} edges, "
           f"chi = {chi}, chi_f = {chif}")
 
 section("DIMACS export (first lines)")

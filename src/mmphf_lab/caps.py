@@ -5,11 +5,12 @@ functions, distribution outcomes, the nodes of the chromatic-number
 search) is guarded by a cap from this module, and so is the one exact
 integer too wide to build, the exponent of `mmphf.parameterize`'s u'.
 A built graph's memory is bounded too: `max_adjacency_bits` caps n² for
-n vertices.  A graph holds n bitmasks of n bits and an edge list of
-about 70 bytes per edge; building a complete graph on 3,000 vertices
-peaked at 36 bytes per adjacency bit.  So the default, 52·10⁶
-(n ≤ 7,211), keeps every graph it admits under 1.9 GB, inside a 2 GiB
-address space, and it admits shift(2,120) (7,140 vertices).
+n vertices.  A graph is n bitmasks of n bits and no edge list.  The
+default, 52·10⁶ (n ≤ 7,211), is kept from when it also held one, so it
+admits shift(2,120) (7,140 vertices) and refuses shift(2,1000) as before.
+It bounds what an export writes: the complete graph on 7,211 vertices
+peaked at 25 MB RSS in a fresh `graph` run, and at 607 MB with its
+DIMACS text; the JSON export, a list per edge, is not bounded this way.
 The true parameters of the constructions are astronomically large and
 must be rejected loudly rather than truncated: `EnumerationCaps.check`
 is the one place that compares a required count with its cap and raises

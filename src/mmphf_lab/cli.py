@@ -192,10 +192,10 @@ def _graph(args):
     g = _build_graph(args)
     if args.export == "dimacs":
         return graphs.to_dimacs(g, comment=f"{PROG} {args.graph} graph"), None, True
-    payload = {"vertices": g.n, "edges": len(g.edges)}
+    payload = {"vertices": g.n, "edges": g.edge_count()}
     if args.export == "json":
         payload["vertex_list"] = [list(v) for v in g.vertices]
-        payload["edge_list"] = [[i, j] for (i, j) in g.edges]
+        payload["edge_list"] = [[i, j] for (i, j) in g.edges()]
     return payload, None, True
 
 

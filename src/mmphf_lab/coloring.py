@@ -304,7 +304,7 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
     if graph.n == 0:
         raise ValueError("empty graph has no chromatic number")
     caps.check("max_vertices", graph.n)
-    if not graph.edges:
+    if not any(graph.adj_bits):
         return 1, [0] * graph.n
     spent = 0
     for k in count(max(2, greedy_clique_lower_bound(graph))):
@@ -315,7 +315,7 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
 
 def is_proper_coloring(graph: Graph, colors: Iterable) -> bool:
     cl = list(colors)
-    return all(cl[i] != cl[j] for (i, j) in graph.edges)
+    return all(cl[i] != cl[j] for (i, j) in graph.edges())
 
 
 # ---------------------------------------------------------------------------

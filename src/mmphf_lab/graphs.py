@@ -1,9 +1,10 @@
 """Graph families over increasing integer tuples.
 
-Each kind of graph has one builder, and `build_graph` and `or_product`
-check `max_vertices` and then `max_adjacency_bits` (n² for n vertices,
-a bound on the graph's memory) before they enumerate; `explicit_graph`
-checks `max_vertices`:
+A built `Graph` is its canonical vertex list and one adjacency bitmask
+per vertex; `Graph.edges()` reads the edges off the masks.  Each kind of
+graph has one builder, and `build_graph` and `or_product` check
+`max_vertices` and then `max_adjacency_bits` (n² for n vertices) before
+they enumerate; `explicit_graph` checks `max_vertices`:
 
 * `build_graph` builds the two tuple families of a `GraphSpec`, which
   share one vertex vocabulary, from their structure, without testing
@@ -39,7 +40,7 @@ All values are immutable after construction and all operations are pure.
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, compress, product as iter_product, repeat
+from itertools import combinations, compress, islice, product as iter_product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
@@ -151,31 +152,31 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class Graph:
     """An explicitly enumerated graph: canonical vertex list plus adjacency.
 
-    `adj_bits[i]` is the neighbourhood of vertex i as a bitmask, which keeps
-    the set arithmetic used by the enumerators exact and fast.  `edges` is
-    derived from it: the (i, j) index pairs with i < j, in increasing order.
+    `adj_bits[i]` is the neighbourhood of vertex i as a bitmask.  The masks
+    are the whole graph: no edge is stored, and `edges()` reads them off.
     """
 
     vertices: list
     adj_bits: list = field(repr=False)
-    edges: list = field(init=False)
 
     def __post_init__(self):
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        # row i's bits above i become a 0/1 byte string selecting j from one
-        # shared id list: a dense row is read in C, and no edge makes a new int
-        ids = list(range(len(self.adj_bits)))
-        self.edges = []
-        for i, mask in zip(ids, self.adj_bits):
-            above = bin(mask >> i + 1 << i + 1)[:1:-1].encode().translate(_BIT_BYTES)
-            self.edges.extend(zip(repeat(i), compress(ids, above)))
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    def degree(self, i: int) -> int:
-        return self.adj_bits[i].bit_count()
+    def edges(self) -> Iterator[tuple]:
+        """The (i, j) index pairs with i < j, in increasing order."""
+        # row i's bits above i become a 0/1 byte string selecting j from one
+        # shared id list: a dense row is read in C, and no edge makes a new int
+        ids = list(range(len(self.adj_bits)))
+        for i, mask in zip(ids, self.adj_bits):
+            above = bin(mask >> i + 1 << i + 1)[:1:-1].encode().translate(_BIT_BYTES)
+            yield from zip(repeat(i), compress(ids, above))
+
+    def edge_count(self) -> int:
+        return sum(a.bit_count() for a in self.adj_bits) // 2
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj_bits[i] >> j & 1)
@@ -376,12 +377,10 @@ def bron_kerbosch_maximal_sets(adj_bits: list) -> list[int]:
 
 
 def is_independent_set(graph: Graph, members: Iterable) -> bool:
+    """True iff no two members are adjacent; an unknown member raises KeyError."""
     idx = [graph.index[v] for v in members]
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if graph.has_edge(idx[a], idx[b]):
-                return False
-    return True
+    mask = sum(1 << i for i in set(idx))
+    return not any(graph.adj_bits[i] & mask for i in idx)
 
 
 def product_set(a: int, b: int, n2: int) -> int:
@@ -400,10 +399,9 @@ def product_set(a: int, b: int, n2: int) -> int:
 
 def to_dimacs(graph: Graph, comment: str | None = None) -> str:
     """DIMACS edge format with 1-based vertex ids in canonical order."""
-    lines = []
-    if comment:
-        lines.append(f"c {comment}")
-    lines.append(f"p edge {graph.n} {len(graph.edges)}")
-    for (i, j) in graph.edges:
-        lines.append(f"e {i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
+    chunks = [f"c {comment}\n" if comment else "", f"p edge {graph.n} {graph.edge_count()}\n"]
+    # edge lines are joined a block at a time, so only the text is held whole
+    edges = graph.edges()
+    while block := "".join([f"e {i + 1} {j + 1}\n" for (i, j) in islice(edges, 1 << 16)]):
+        chunks.append(block)
+    return "".join(chunks)

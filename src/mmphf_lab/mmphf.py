@@ -437,7 +437,7 @@ def extract_coloring(scheme: str, graph: Graph, seed: int = 0) -> dict:
     for v in graph.vertices:
         idx = build(scheme, KeySet(elements=v, u=u), seed)
         colors[v] = idx.payload
-    for (i, j) in graph.edges:
+    for (i, j) in graph.edges():
         a, b = graph.vertices[i], graph.vertices[j]
         if colors[a] == colors[b]:
             raise SchemeViolationError(

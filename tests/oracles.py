@@ -202,7 +202,7 @@ def reference_max_mass(graph, weights):
     return max(
         (
             sum((weights.get(v, ZERO) for v in s), ZERO)
-            for s in networkx_maximal_independent_sets(graph.n, graph.edges)
+            for s in networkx_maximal_independent_sets(graph.n, graph.edges())
         ),
         default=ZERO,
     )

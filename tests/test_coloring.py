@@ -73,7 +73,7 @@ class TestChromaticNumber:
     def test_conflict_2_4_bipartite(self):
         g = build_graph(ConflictSpec(2, 4))
         # oracle: the 4-edge graph is acyclic, hence bipartite with edges
-        assert is_acyclic(g.n, g.edges) and is_bipartite(g.n, g.edges)
+        assert is_acyclic(g.n, g.edges()) and is_bipartite(g.n, g.edges())
         chi, wit = chromatic_number(g)
         assert chi == 2 and is_proper_coloring(g, wit)
 

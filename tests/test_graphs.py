@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,26 +84,37 @@ class TestBuildGraph:
         g = build_graph(ConflictSpec(2, 4))
         # oracle: pairwise recount over all 15 pairs
         assert count_conflict_edges(g.vertices) == 4
-        assert (g.n, len(g.edges)) == (6, 4)
+        assert (g.n, g.edge_count()) == (6, 4)
 
     def test_shift_2_4_counts(self):
         g = build_graph(ShiftSpec(2, 4))
         assert g.n == 6
         # one edge per increasing triple a < b < c
         triples = [(a, b, c) for a in range(1, 5) for b in range(a + 1, 5) for c in range(b + 1, 5)]
-        assert len(g.edges) == len(triples) == 4
+        assert g.edge_count() == len(triples) == 4
         for (a, b, c) in triples:
             i, j = g.index[(a, b)], g.index[(b, c)]
             assert g.has_edge(i, j)
 
     def test_conflict_m1_edgeless(self):
         g = build_graph(ConflictSpec(1, 5))
-        assert (g.n, len(g.edges)) == (5, 0)
+        assert (g.n, g.edge_count()) == (5, 0)
 
     def test_cap_exceeded(self):
         with pytest.raises(EnumerationCapExceeded) as exc:
             build_graph(ConflictSpec(4, 100))
         assert exc.value.cap_name == "max_vertices"
+
+    def test_build_holds_no_edge_list(self):
+        # conflict(6,13): 1,716 vertices and 1,188,577 edges in 0.35 MiB of bitmasks
+        tracemalloc.start()
+        try:
+            g = build_graph(ConflictSpec(6, 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert g.edge_count() == 1188577
 
     def test_offset_universe(self):
         g = build_graph(ConflictSpec(2, 3, offset=10))
@@ -134,7 +147,7 @@ class TestBuildGraph:
         for (n, u) in [(2, 6), (2, 8), (3, 6)]:
             shift = build_graph(ShiftSpec(n, u))
             conflict = ConflictSpec(n, u)
-            for (i, j) in shift.edges:
+            for (i, j) in shift.edges():
                 assert adjacent(conflict, shift.vertices[i], shift.vertices[j])
 
 
@@ -164,23 +177,24 @@ class TestProduct:
         ]
         g = or_product(explicit_graph(va, ea), explicit_graph(vb, eb))
         assert g.vertices == verts
-        assert g.edges == [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i][j]]
+        assert list(g.edges()) == [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i][j]]
+        assert g.edge_count() == sum(map(sum, adj)) // 2
         assert g.adj_bits == [sum(1 << j for j in range(n) if adj[i][j]) for i in range(n)]
 
     def test_k3_k2_is_complete(self):
         g = or_product(complete(3), complete(2))
         assert g.n == 6
-        assert len(g.edges) == 15
+        assert g.edge_count() == 15
 
     def test_identity_factor(self):
         g1 = c5()
         g2 = or_product(g1, explicit_graph(["x"], []))
         assert g2.n == g1.n
         mapped = {(v, "x"): v for v in g1.vertices}
-        for (i, j) in g2.edges:
+        for (i, j) in g2.edges():
             a, b = g2.vertices[i], g2.vertices[j]
             assert g1.has_edge(g1.index[mapped[a]], g1.index[mapped[b]])
-        assert len(g2.edges) == len(g1.edges)
+        assert g2.edge_count() == g1.edge_count()
 
     def test_two_fold_conflict_matches_flat_adjacency(self):
         left, right = ConflictSpec(2, 4), ConflictSpec(2, 4, 4)
@@ -217,6 +231,14 @@ class TestProduct:
             proj2 = {v[1] for v in members}
             assert is_independent_set(g1, proj1)
             assert is_independent_set(g2, proj2)
+
+    def test_is_independent_set_members(self):
+        g = c5()
+        assert is_independent_set(g, [0, 2, 0, 2])
+        assert not is_independent_set(g, [0, 2, 3])
+        assert is_independent_set(g, [])
+        with pytest.raises(KeyError):
+            is_independent_set(g, [0, 5])
 
 
 def _bits(mask):
@@ -273,7 +295,7 @@ class TestMaximalIndependentSets:
         }
         via_nx = {
             frozenset(g.vertices[i] for i in s)
-            for s in networkx_maximal_independent_sets(g.n, g.edges)
+            for s in networkx_maximal_independent_sets(g.n, g.edges())
         }
         assert via_labels == via_bk == via_nx
 
@@ -333,11 +355,11 @@ class TestExplicit:
 
     def test_reversed_and_duplicated_edges(self):
         g = explicit_graph(range(4), [(2, 0), (0, 2), (3, 1), (1, 0), (1, 0)])
-        assert g.edges == [(0, 1), (0, 2), (1, 3)]
+        assert list(g.edges()) == [(0, 1), (0, 2), (1, 3)]
 
     def test_explicit_graph_builder(self):
         g = explicit_graph("abc", [("a", "b")])
-        assert g.n == 3 and len(g.edges) == 1
+        assert g.n == 3 and g.edge_count() == 1
 
 
 class TestDimacs:
@@ -351,6 +373,11 @@ class TestDimacs:
         for ln in lines[2:]:
             tag, a, b = ln.split()
             assert tag == "e" and 1 <= int(a) < int(b) <= 6
+
+    def test_complete_graph_past_one_block(self):
+        # K_400 has 79,800 edges, more than one block of edge lines
+        edges = "".join(f"e {i} {j}\n" for i in range(1, 401) for j in range(i + 1, 401))
+        assert to_dimacs(build_graph(ShiftSpec(1, 400))) == "p edge 400 79800\n" + edges
 
 
 class TestValidation:

@@ -328,6 +328,14 @@ class TestExtractColoring:
         with pytest.raises(SchemeViolationError):
             extract_coloring(SCHEME_BROKEN, build_graph(ConflictSpec(2, 4)))
 
+    def test_broken_scheme_names_first_edge(self):
+        # the first edge in canonical order, as demo 05 prints it
+        with pytest.raises(SchemeViolationError) as exc:
+            extract_coloring(SCHEME_BROKEN, build_graph(ConflictSpec(2, 8)))
+        assert str(exc.value) == (
+            "scheme 'broken-constant' colored adjacent vertices (1, 2) and (2, 3) identically"
+        )
+
 
 class TestBoundReport:
     def test_conflict_2_4_explicit_set(self):
