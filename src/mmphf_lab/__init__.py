@@ -5,11 +5,21 @@ the space lower bound for monotone minimal perfect hashing: conflict /
 shift / product graphs, rational fractional-coloring LPs with primal and
 dual certificates, the hard input distribution with its window trees and
 pruning, and concrete rank-index schemes with bit-exact size accounting.
+
+Importing the package loads `harddist` and the modules it imports
+(`caps`, `errors`, `graphs`, `rng`, `serialize`, `tower`).  `harddist`
+stays eager because the benchmark's `import.harddist_s` layer reads it
+from `python -X importtime -c "import mmphf_lab"`.  `coloring`, `lp`,
+`mmphf` and `windowtree` load on first attribute access (PEP 562) or
+import, so a fresh process compiles only what its subcommand runs:
+`mmphf-lab --version` and `graph` load none of the four.
 """
 
 __version__ = "0.1.0"
 
-from . import caps, coloring, graphs, harddist, mmphf, rng, tower, windowtree  # noqa: F401
+import importlib
+
+from . import caps, graphs, harddist, rng, tower  # noqa: F401
 from .caps import DEFAULT_CAPS, EnumerationCaps  # noqa: F401
 from .errors import (  # noqa: F401
     CorruptIndexError,
@@ -18,3 +28,11 @@ from .errors import (  # noqa: F401
     MmphfLabError,
     SchemeViolationError,
 )
+
+_LAZY = ("coloring", "lp", "mmphf", "windowtree")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,20 +11,27 @@ exceeded caps, I/O errors, and a failed verification (`case1-sweep`,
 Each subcommand is one `COMMANDS` entry: help text, CSV columns, a
 function adding its flags, and a body returning (payload, rows, ok).
 `main` parses, renders, writes and picks the exit code for all of them.
+
+A fresh process loads only what its subcommand runs.  This module
+imports `graphs`, `harddist` and the light helpers, which the package
+import loads anyway (see `mmphf_lab`); each body imports the module it
+runs (`coloring`, `mmphf`, `windowtree`), and `json` and `csv` load
+where an artifact is rendered or a `--dist-file` read.  Building the
+parser needs only the scheme names, from `schemes`, so
+`mmphf-lab --version` and `--help` load none of those modules.
 """
 
 import argparse
-import csv
 import functools
 import io
-import json
 import sys
 from fractions import Fraction
 
-from . import __version__, coloring, graphs, harddist, mmphf, windowtree
+from . import __version__, graphs, harddist
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import EnumerationCapExceeded, MmphfLabError
 from .rng import BitSampler, derive_seed
+from .schemes import SCHEME_EXPLICIT_SET, SCHEMES
 from .serialize import frac_str, parse_frac
 from .tower import parse_tower
 
@@ -109,9 +116,13 @@ def _render(args, columns, payload, rows) -> str:
     """
     if isinstance(payload, str):
         return payload
+    import json
+
     meta = _metadata(args)
     if args.format == "json":
         return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
+    import csv
+
     buf = io.StringIO()
     buf.write(f"# {meta['tool']} {meta['version']} seed={meta['seed']} "
               f"config={json.dumps(meta['config'], sort_keys=True)}\n")
@@ -131,6 +142,8 @@ def _write(out: str, text: str) -> None:
 
 
 def _kv_rows(d: dict, prefix="") -> list:
+    import json
+
     rows = []
     for k, v in d.items():
         key = f"{prefix}{k}"
@@ -200,6 +213,8 @@ def _graph(args):
 
 
 def _chi(args):
+    from . import coloring
+
     chi, witness = coloring.chromatic_number(_build_graph(args), _caps(args))
     return {"chi": chi, "coloring": witness}, None, True
 
@@ -210,6 +225,8 @@ def _chif_flags(sp):
 
 
 def _chif(args):
+    from . import coloring
+
     report = coloring.fractional_chromatic_number(
         _build_graph(args), _caps(args), include_chi=not args.skip_chi
     )
@@ -291,6 +308,8 @@ def _parse_distribution(args) -> harddist.ExplicitTupleDistribution:
                 (tuple(int(x) for x in tup.split(",")), parse_frac(prob))
             )
     else:
+        import json
+
         with open(args.dist_file) as fh:
             data = json.load(fh)
         pairs = data.get("outcomes") if isinstance(data, dict) else None
@@ -340,6 +359,8 @@ def _prune_flags(sp):
 
 
 def _prune(args):
+    from . import windowtree
+
     labels = [int(x) for x in args.labels.split(",")]
     spec = windowtree.WindowTreeSpec(
         arity=args.arity, depth=args.depth, start=args.start, length=len(labels)
@@ -357,6 +378,8 @@ def _case1_flags(sp):
 
 
 def _case1_sweep(args):
+    from . import windowtree
+
     records = []
     for inst in range(args.instances):
         rng = BitSampler(derive_seed(args.seed, inst))
@@ -397,7 +420,7 @@ def _case1_sweep(args):
 
 
 def _mmphf_verify_flags(sp):
-    sp.add_argument("--scheme", choices=mmphf.SCHEMES, required=True)
+    sp.add_argument("--scheme", choices=SCHEMES, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--keys", help="comma-separated increasing keys")
     group.add_argument("--keys-file", help="file with a u= header then one key per line")
@@ -405,6 +428,8 @@ def _mmphf_verify_flags(sp):
 
 
 def _mmphf_verify(args):
+    from . import mmphf
+
     if args.keys is not None:
         if args.u is None:
             raise ValueError("--keys needs --u")
@@ -431,12 +456,14 @@ def _mmphf_verify(args):
 
 
 def _bound_report_flags(sp):
-    sp.add_argument("--scheme", choices=mmphf.SCHEMES, required=True)
+    sp.add_argument("--scheme", choices=SCHEMES, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--M", type=int, required=True)
 
 
 def _bound_report(args):
+    from . import mmphf
+
     report = mmphf.bound_report(
         args.scheme, graphs.ConflictSpec(args.m, args.M), seed=args.seed, caps=_caps(args)
     )
@@ -444,11 +471,13 @@ def _bound_report(args):
 
 
 def _sx_flags(sp):
-    sp.add_argument("--scheme", choices=mmphf.SCHEMES, default=mmphf.SCHEME_EXPLICIT_SET)
+    sp.add_argument("--scheme", choices=SCHEMES, default=SCHEME_EXPLICIT_SET)
     sp.add_argument("--max-d", type=_int_in(1), default=10)
 
 
 def _sx_roundtrip(args):
+    from . import mmphf
+
     # round d builds 2^d indexes, so the sweep builds 2^(max_d+1) - 2
     _caps(args).check("max_outcomes", (1 << args.max_d + 1) - 2)
     records = [
@@ -464,6 +493,8 @@ def _parameterize_flags(sp):
 
 
 def _parameterize(args):
+    from . import mmphf
+
     fp = mmphf.parameterize(args.n, parse_tower(args.u), _caps(args))
     return fp.to_json_dict(), None, True
 

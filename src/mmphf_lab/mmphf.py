@@ -36,18 +36,12 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
-from .coloring import fractional_chromatic_number
 from .errors import CorruptIndexError, SchemeViolationError
 from .graphs import ConflictSpec, Graph, build_graph
 from .rng import hash64, hash_key, mix64
+from .schemes import SCHEME_BROKEN, SCHEME_EXPLICIT_SET, SCHEME_RANK_MAP, SCHEMES  # noqa: F401
 from .serialize import frac_str
 from .tower import ScaledPow2, TowerInt, pow2, tower_cmp, tower_str
-
-SCHEME_EXPLICIT_SET = "explicit-set"
-SCHEME_RANK_MAP = "rank-map"
-SCHEME_BROKEN = "broken-constant"  # negative control: constant payload
-
-SCHEMES = (SCHEME_EXPLICIT_SET, SCHEME_RANK_MAP)
 
 # fixed header: scheme tag bit plus two 64-bit words (n, u); seeded schemes
 # carry one extra word
@@ -498,6 +492,8 @@ def bound_report(
     chi >= chi_f; a correct scheme cannot undercut chi because its
     payloads properly color the graph.
     """
+    from .coloring import fractional_chromatic_number  # index-only callers skip coloring and lp
+
     graph = build_graph(spec, caps)
     report = fractional_chromatic_number(graph, caps)
     colors = extract_coloring(scheme, graph, seed)

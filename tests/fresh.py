@@ -1,4 +1,4 @@
-"""Run `python -m mmphf_lab.cli` as a fresh process, bounded in time and memory.
+"""Run `python -m mmphf_lab.cli`, or any Python, as a fresh process bounded in time and memory.
 
 The child's address space is capped (`RLIMIT_AS`, set in the child before
 it starts Python), so a regression that builds an astronomical integer
@@ -28,14 +28,19 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
-def run_cli_fresh(*argv, timeout=10):
-    """The finished `python -m mmphf_lab.cli *argv` process, with text stdout and stderr."""
+def run_python_fresh(*args, timeout=10):
+    """The finished `python *args` process, with text stdout and stderr."""
     if resource is None:
         pytest.skip("no resource module to limit the child's address space")
     return subprocess.run(
-        [sys.executable, "-m", "mmphf_lab.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
         preexec_fn=_limit_address_space,
     )
+
+
+def run_cli_fresh(*argv, timeout=10):
+    """The finished `python -m mmphf_lab.cli *argv` process, with text stdout and stderr."""
+    return run_python_fresh("-m", "mmphf_lab.cli", *argv, timeout=timeout)

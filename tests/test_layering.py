@@ -10,10 +10,17 @@
   `__version__` are exempt.
 * No module imports `scipy`, `numpy` or `networkx` at module level, that
   is outside a function body: a fresh CLI process must not pay for them.
+* A fresh process loads only the package modules its subcommand runs:
+  `import mmphf_lab` loads `harddist` but not `coloring`, `lp`, `mmphf`
+  or `windowtree`, which load on first use and resolve as attributes.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from fresh import run_python_fresh
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmphf_lab"
 HEAVY = ("scipy", "numpy", "networkx")
@@ -136,3 +143,77 @@ def test_checker_sees_module_level_heavy_imports(tmp_path):
         "mod.py:4: imports networkx at module level",
         "mod.py:9: imports scipy at module level",
     ]
+
+
+LAZY = ("coloring", "lp", "mmphf", "windowtree")
+LIST_MODULES = (
+    "print(*sorted(m.removeprefix('mmphf_lab.') for m in sys.modules"
+    " if m.startswith('mmphf_lab.')))\n"
+)
+# runs the CLI on the arguments after -c, then lists the package modules loaded
+RUN_CLI = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('mmphf_lab.cli', run_name='__main__')\n"
+    "except SystemExit:\n"
+    "    pass\n"
+) + LIST_MODULES
+
+
+def loaded_modules(code, *argv) -> set:
+    """The `mmphf_lab` submodules a fresh process running code has loaded."""
+    proc = run_python_fresh("-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv, runs, skips",
+    [
+        (["--version"], [], LAZY),
+        (["graph", "--graph", "shift", "--n", "2", "--u", "6"], ["graphs"], LAZY),
+        (
+            ["mmphf-verify", "--scheme", "rank-map", "--keys", "2,5,9", "--u", "12"],
+            ["mmphf"], ("coloring", "lp", "windowtree"),
+        ),
+        (["sx-roundtrip", "--max-d", "2"], ["mmphf"], ("coloring", "lp", "windowtree")),
+        (
+            ["prune", "--arity", "2", "--depth", "1", "--labels", "1,2,1,2", "--index", "1",
+             "--tau", "1/2"],
+            ["windowtree"], ("coloring", "lp", "mmphf"),
+        ),
+        (["chi", "--graph", "shift", "--n", "2", "--u", "6"], ["coloring", "lp"], ("mmphf",)),
+    ],
+    ids=["version", "graph", "mmphf-verify", "sx-roundtrip", "prune", "chi"],
+)
+def test_subcommand_loads_only_what_it_runs(argv, runs, skips):
+    loaded = loaded_modules(RUN_CLI, *argv)
+    assert set(runs) <= loaded
+    assert loaded.isdisjoint(skips), sorted(loaded & set(skips))
+
+
+def test_package_import_loads_harddist_and_defers_the_rest():
+    loaded = loaded_modules("import sys, mmphf_lab\n" + LIST_MODULES)
+    assert "harddist" in loaded
+    assert loaded.isdisjoint(LAZY), sorted(loaded & set(LAZY))
+
+
+def test_deferred_modules_resolve_as_attributes():
+    code = (
+        "import sys, mmphf_lab\n"
+        "names = ('coloring', 'graphs', 'lp', 'mmphf', 'windowtree', 'rng', 'tower')\n"
+        "before = [n for n in names if f'mmphf_lab.{n}' in sys.modules]\n"
+        "mods = [getattr(mmphf_lab, n) for n in names]\n"
+        "assert [m.__name__ for m in mods] == [f'mmphf_lab.{n}' for n in names]\n"
+        "assert all(sys.modules[m.__name__] is m for m in mods)\n"
+        "try:\n"
+        "    mmphf_lab.no_such_module\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+        "print(*before)\n"
+    )
+    proc = run_python_fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    error, before = proc.stdout.splitlines()
+    assert error == "module 'mmphf_lab' has no attribute 'no_such_module'"
+    assert before.split() == ["graphs", "rng", "tower"]
