@@ -14,9 +14,10 @@ from mmphf_lab.graphs import (
     ConflictSpec,
     ShiftSpec,
     adjacent,
+    bit_indices,
+    bron_kerbosch_maximal_sets,
     build_graph,
     independent_set_of,
-    maximal_independent_sets,
     to_dimacs,
 )
 
@@ -39,7 +40,10 @@ section("Maximal independent sets = label functions")
 f = {1: 1, 2: 1, 3: 2, 4: 2}
 print("f labels [1,2] -> slot 1, [3,4] -> slot 2")
 print("I(f) =", sorted(independent_set_of(f, spec)))
-sets = maximal_independent_sets(spec)
+sets = [
+    frozenset(g.vertices[i] for i in bit_indices(mask))
+    for mask in bron_kerbosch_maximal_sets(g.adj_bits)
+]
 print(f"all {len(sets)} maximal independent sets:")
 for s in sorted(sets, key=sorted):
     print("  ", sorted(s))

@@ -2,8 +2,10 @@
 
 Every exhaustive enumeration in the package (graph vertices, label
 functions, distribution outcomes, the nodes of the chromatic-number
-search) is guarded by a cap from this module, and so is the one exact
-integer too wide to build, the exponent of `mmphf.parameterize`'s u'.
+search) is guarded by a cap from this module, and so are the exact
+integers too wide to build: `max_exponent_bits` bounds the exponent of
+`mmphf.parameterize`'s u' and the canonical hard-law exponent s0 of
+`harddist.SamplerParams.canonical`.
 A built graph's memory is bounded too: `max_adjacency_bits` caps n² for
 n vertices.  A graph is n bitmasks of n bits and no edge list.  The
 default, 52·10⁶ (n ≤ 7,211), is kept from when it also held one, so it

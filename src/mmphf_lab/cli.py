@@ -380,15 +380,18 @@ def _case1_flags(sp):
 def _case1_sweep(args):
     from . import windowtree
 
+    caps = _caps(args)
     records = []
     for inst in range(args.instances):
         rng = BitSampler(derive_seed(args.seed, inst))
         arity = 2 + rng.choice_index(args.max_arity - 1)
         depth = 1 + rng.choice_index(args.max_depth)
         leaf = 1 + rng.choice_index(3)
+        # refuse a tree shape by its leaf bound before arity^depth is built
+        windowtree.check_leaf_bound(arity, depth, caps)
         length = leaf * arity**depth
         spec = windowtree.WindowTreeSpec(arity=arity, depth=depth, start=1, length=length)
-        tree = windowtree.build_tree(spec, _caps(args))
+        tree = windowtree.build_tree(spec, caps)
         index = 1
         f = {e: 1 + rng.choice_index(3) for e in range(1, length + 1)}
         tau = Fraction(1 + rng.choice_index(8), 10)

@@ -160,14 +160,6 @@ def _first_free_color(graph: Graph, v: int, colors: list) -> int:
     return c
 
 
-def k_colorable(graph: Graph, k: int) -> Optional[list]:
-    """A proper k-coloring as a list of color ids, or None if none exists.
-
-    The search is bounded by the default max_search_nodes.
-    """
-    return _k_coloring(graph, k, DEFAULT_CAPS, 0)[0]
-
-
 def _k_coloring(graph: Graph, k: int, caps: EnumerationCaps, spent: int) -> tuple:
     """(k-coloring or None, search nodes spent so far, this call included)."""
     n = graph.n

@@ -28,11 +28,13 @@ a scan of all vertex pairs with it.
 Maximal independent sets of a conflict graph are in bijection with label
 functions f mapping each universe element to a position in [m]: the set
 I(f) collects every vertex whose elements all sit at their labelled
-positions.  Both that route and a generic Bron-Kerbosch enumerator are
-provided so they can verify each other.  Label functions have their one
-home here: `label_getter`, the predicate `consistent` and the capped
-enumerator `iter_label_functions` also serve the hard distribution and
-the window trees.
+positions, and `independent_set_of` builds it.  The maximal sets of any
+built graph come from one enumerator, Bron-Kerbosch on the adjacency
+bitmasks (`bron_kerbosch_maximal_sets`); the tests keep the label route
+to them as their reference.  Label functions have their one home here:
+`label_getter`, the predicate `consistent` and the capped enumerator
+`iter_label_functions` also serve the hard distribution and the window
+trees.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -158,9 +160,6 @@ class Graph:
 
     vertices: list
     adj_bits: list = field(repr=False)
-
-    def __post_init__(self):
-        self.index = {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def n(self) -> int:
@@ -302,30 +301,6 @@ def independent_set_of(
     return frozenset(v for v in iter_vertices(spec) if consistent(get, v))
 
 
-def maximal_independent_sets(
-    spec: ConflictSpec, caps: EnumerationCaps = DEFAULT_CAPS
-) -> list[frozenset]:
-    """All maximal independent sets of a conflict graph, as frozensets of vertices.
-
-    They come from the label-function bijection: each nonempty, maximal
-    I(f) once, in the order of the first f giving it.  I(f) is read off
-    the built graph's vertex list as a bitmask, which is maximal when
-    every vertex outside it has a neighbour inside.  Any other graph goes
-    to the generic `bron_kerbosch_maximal_sets`.
-    """
-    graph = build_graph(spec, caps)
-    seen = set()
-    out = []
-    for f in iter_label_functions(spec.universe, spec.m, caps):
-        mask = sum(1 << i for i, v in enumerate(graph.vertices) if consistent(f.__getitem__, v))
-        if mask and mask not in seen and all(
-            mask >> i & 1 or adj & mask for i, adj in enumerate(graph.adj_bits)
-        ):
-            seen.add(mask)
-            out.append(frozenset(graph.vertices[i] for i in bit_indices(mask)))
-    return out
-
-
 def bit_indices(mask: int) -> list[int]:
     """Positions of the set bits of mask, in increasing order."""
     out = []
@@ -378,7 +353,8 @@ def bron_kerbosch_maximal_sets(adj_bits: list) -> list[int]:
 
 def is_independent_set(graph: Graph, members: Iterable) -> bool:
     """True iff no two members are adjacent; an unknown member raises KeyError."""
-    idx = [graph.index[v] for v in members]
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    idx = [index[v] for v in members]
     mask = sum(1 << i for i in set(idx))
     return not any(graph.adj_bits[i] & mask for i in idx)
 

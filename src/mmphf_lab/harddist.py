@@ -28,7 +28,7 @@ from itertools import accumulate, product
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, consistent, iter_label_functions, label_getter
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
-from .serialize import exact_decimals, frac_str
+from .serialize import exact_decimals, int_str
 from .tower import Pow2
 
 
@@ -48,16 +48,25 @@ class SamplerParams:
             raise ValueError("m must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2 so Z draws from a nonempty range")
-        if self.s0 < self.k ** (self.m + 1):
-            raise ValueError(
-                f"s0 must be >= k^(m+1) = {self.k ** (self.m + 1)} to keep S_m >= 0"
-            )
+        # k^(m+1) >= 2^floor_bits, so a shorter s0 is below it, and the power
+        # is built only when it is at most about s0^2
+        floor_bits = (self.m + 1) * (self.k.bit_length() - 1)
+        if self.s0.bit_length() <= floor_bits or self.s0 < self.k ** (self.m + 1):
+            # printed whole up to max_exponent_bits bits, else as the power
+            wide = (self.m + 1) * self.k.bit_length() > DEFAULT_CAPS.max_exponent_bits
+            bound = f"{self.k}^{self.m + 1}" if wide else int_str(self.k ** (self.m + 1))
+            raise ValueError(f"s0 must be >= k^(m+1) = {bound} to keep S_m >= 0")
 
     @classmethod
     def canonical(cls, m: int) -> "SamplerParams":
-        """The construction's own parameters k = m^m, s0 = k^(m+1)."""
+        """The construction's own parameters k = m^m, s0 = k^(m+1).
+
+        s0 is an exponent, so its bound of (m+1) * m * bit_length(m) bits
+        is checked against `max_exponent_bits` before k is built.
+        """
         if m < 2:
             raise ValueError("canonical parameters need m >= 2 (k = m^m >= 2)")
+        DEFAULT_CAPS.check("max_exponent_bits", (m + 1) * m * m.bit_length())
         k = m**m
         return cls(m=m, k=k, s0=k ** (m + 1))
 
@@ -332,18 +341,6 @@ class MonteCarloReport:
     ci_high: float
     seed: int
     generator: str = GENERATOR_NAME
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": frac_str(self.estimate),
-            "confidence": self.confidence,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-            "generator": self.generator,
-        }
 
 
 def binomial_ci(successes: int, trials: int) -> tuple:

@@ -560,10 +560,16 @@ def parameterize(n: int, u: TowerInt, caps: EnumerationCaps = DEFAULT_CAPS) -> F
         raise ValueError("n must be >= 2")
     if tower_cmp(u, 4) < 0:
         raise ValueError("u must be >= 4 so that m >= 1 is attainable")
-    # the largest m in [1, n + 1] with 2^(2^(m^6)) <= u, by bisection
-    m = 1 + bisect_left(
-        range(2, n + 2), True, key=lambda j: tower_cmp(pow2(pow2(j**6)), u) > 0
-    )
+    # the largest m in [1, n + 1] with 2^(2^(m^6)) <= u is one less than the first
+    # j in [2, n + 2) with 2^(2^(j^6)) > u, bisected on ints since n may pass sys.maxsize
+    lo, hi = 2, n + 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tower_cmp(pow2(pow2(mid**6)), u) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    m = lo - 1
     k = n // m
     if k < 1:
         raise ValueError(f"m > n = {n}; no blocks fit")

@@ -9,6 +9,8 @@ the master seed, so the whole experiment is reproducible from one seed.
 
 import random
 
+from .serialize import int_str
+
 MASK64 = (1 << 64) - 1
 
 #: Identifier recorded in output metadata so artifacts name their generator.
@@ -50,7 +52,7 @@ class BitSampler:
 
     def bits(self, n: int) -> int:
         if n >= 1 << 31:  # `getrandbits` takes its width as a C int
-            raise ValueError(f"cannot draw {n} random bits at once (at most 2^31 - 1)")
+            raise ValueError(f"cannot draw {int_str(n)} random bits at once (at most 2^31 - 1)")
         return self._rng.getrandbits(n) if n > 0 else 0
 
     def uniform_pow2(self, s: int) -> int:

@@ -109,5 +109,5 @@ def parse_tower(text: str) -> TowerInt:
 
 def tower_str(t: TowerInt) -> str:
     if isinstance(t, int):
-        return str(t)
+        return int_str(t)
     return f"2^{tower_str(t.exponent)}"

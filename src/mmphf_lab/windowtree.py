@@ -56,7 +56,7 @@ class WindowTreeSpec:
         # arity^depth >= 2^floor_bits, so a shorter root cannot be its multiple
         # and the power is built only when it is at most about length^2
         if (
-            self.length.bit_length() <= self.floor_bits
+            self.length.bit_length() <= floor_bits(self.arity, self.depth)
             or self.length % self.arity**self.depth != 0
         ):
             raise ValueError(
@@ -65,14 +65,26 @@ class WindowTreeSpec:
             )
 
     @property
-    def floor_bits(self) -> int:
-        """depth * floor(log2(arity)): the tree has at least 2^floor_bits leaves."""
-        return self.depth * (self.arity.bit_length() - 1)
-
-    @property
     def node_count(self) -> int:
         r, k = self.arity, self.depth
         return (r ** (k + 1) - 1) // (r - 1)
+
+
+def floor_bits(arity: int, depth: int) -> int:
+    """depth * floor(log2(arity)): a tree of that shape has at least 2^floor_bits leaves."""
+    return depth * (arity.bit_length() - 1)
+
+
+def check_leaf_bound(arity: int, depth: int, caps: EnumerationCaps = DEFAULT_CAPS) -> None:
+    """From 2^64 leaves on, check the lower bound 2^floor_bits against `max_vertices`.
+
+    Nothing of size arity^depth is built, so a caller can refuse a shape
+    before it computes a root length; below 2^64 leaves the power has at
+    most 128 bits and the exact node count is checked instead.
+    """
+    bits = floor_bits(arity, depth)
+    if bits >= 64:
+        caps.check("max_vertices", Pow2(bits))
 
 
 class WindowTree:
@@ -115,11 +127,10 @@ class WindowTree:
 def build_tree(spec: WindowTreeSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> WindowTree:
     """The tree of a spec whose node count is within `max_vertices`.
 
-    The count is checked before any level is computed; from 2^64 leaves on,
-    the lower bound 2^floor_bits is checked before the count is built.
+    The count is checked before any level is computed, and
+    `check_leaf_bound` runs before the count is built.
     """
-    if spec.floor_bits >= 64:
-        caps.check("max_vertices", Pow2(spec.floor_bits))
+    check_leaf_bound(spec.arity, spec.depth, caps)
     caps.check("max_vertices", spec.node_count)
     return WindowTree(spec)
 
@@ -227,9 +238,6 @@ class SamplingPath:
     nodes: tuple  # node indices per level, nodes[l] at level l
     sample: int
     seed: int
-
-    def node(self, level: int) -> tuple:
-        return (level, self.nodes[level])
 
 
 def sample_path(tree: WindowTree, seed: int) -> SamplingPath:

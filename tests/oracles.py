@@ -22,7 +22,7 @@ with every field converted by itself through `int_str`, as the reference
 for the one that prints each X_i from the Decimal sum X_{i-1} + Y_i; the
 label route to a conflict graph's maximal sets is kept with one
 `independent_set_of` per label function and maximality recounted
-pairwise, as the reference for the one on vertex bitmasks; the tuple
+pairwise, as the reference for Bron-Kerbosch on conflict graphs; the tuple
 families' adjacency is kept as the scan of every vertex pair with
 `graphs.adjacent`, as the reference for the builder that reads it off
 their structure; and first-fit colouring gives chromatic searches an
@@ -471,7 +471,7 @@ class _FractionRevisedSimplex:
 
 
 def reference_k_colorable(graph, k):
-    """`coloring.k_colorable` before saturation buckets: peeling, then DSATUR
+    """`coloring._k_coloring` before saturation buckets: peeling, then DSATUR
     that rescans every uncoloured vertex per node and tries every colour of
     the domain.  A proper k-colouring as a list, or None."""
     n = graph.n

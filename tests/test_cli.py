@@ -599,6 +599,58 @@ class TestAstronomicalInputs:
             proc.stderr,
         )
 
+    def test_case1_sweep_names_the_cap_before_the_root_length(self):
+        # seed 0 draws arity 33,881 and depth 9,832,077: the root length
+        # leaf * arity^depth is never built
+        proc = run_cli_fresh(
+            "case1-sweep", "--instances", "1", "--max-arity", "100000", "--max-depth", "10000000",
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_vertices "
+                               "(required at least 2^147481155 > limit 1000000)\n")
+
+    @pytest.mark.parametrize("command", ["sample", "enumerate"])
+    def test_canonical_s0_names_the_exponent_cap(self, command):
+        # s0 = k^(m+1) with k = m^m has at most (m+1) * m * bit_length(m) bits
+        proc = run_cli_fresh(command, "--m", "100000", "--defaults")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_exponent_bits "
+                               "(required 170001700000 > limit 1000000)\n")
+
+    @pytest.mark.parametrize(
+        "m, k, bound",
+        [("100000000", "3", "3^100000001"), ("1000000", "2", "2^1000001"), ("1", "4", "16")],
+        ids=["power-not-built", "past-the-digit-limit", "small"],
+    )
+    def test_s0_below_the_power_is_refused(self, m, k, bound):
+        proc = run_cli_fresh("sample", "--m", m, "--k", k, "--s0", "1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"mmphf-lab: error: s0 must be >= k^(m+1) = {bound} to keep S_m >= 0\n"
+        )
+
+    @pytest.mark.parametrize("m", [4, 100])
+    def test_wide_messages_print_whole(self, m):
+        # canonical s0 = (m^m)^(m+1): 2^40 at m = 4, past the interpreter's
+        # int-to-str digit limit at m = 100
+        shown = int_str((m**m) ** (m + 1))
+        proc = run_cli_fresh("sample", "--m", str(m), "--defaults")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"mmphf-lab: error: cannot draw {shown} random bits at once (at most 2^31 - 1)\n"
+        )
+        if m == 100:
+            proc = run_cli_fresh("enumerate", "--m", str(m), "--defaults")
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_outcomes "
+                                   f"(required at least 2^{shown} > limit 10000000)\n")
+
+    def test_parameterize_n_past_sys_maxsize(self):
+        proc = run_cli_fresh("parameterize", "--n", str(10**20), "--u", "2^2^64")
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert (data["m"], data["k"]) == (2, 5 * 10**19) and data["u_prime_le_u"] is True
+
 
 class TestUsage:
     def test_one_parser_serves_successive_calls(self, capsys):

@@ -15,7 +15,6 @@ from mmphf_lab.coloring import (
     fractional_chromatic_number,
     greedy_clique_lower_bound,
     is_proper_coloring,
-    k_colorable,
     max_mass,
     maximal_sets_bits,
     product_multiplicativity_certificates,
@@ -52,6 +51,11 @@ def complete(n):
 
 def cycle(n):
     return explicit_graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def k_colorable(graph, k):
+    """A k-coloring or None, from the search `chromatic_number` runs at each k."""
+    return coloring._k_coloring(graph, k, EnumerationCaps(), 0)[0]
 
 
 def sets_of(graph):

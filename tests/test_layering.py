@@ -13,6 +13,10 @@
 * A fresh process loads only the package modules its subcommand runs:
   `import mmphf_lab` loads `harddist` but not `coloring`, `lp`, `mmphf`
   or `windowtree`, which load on first use and resolve as attributes.
+* Every module-level public function and class of the package is read by
+  name (a `Name`, an attribute or an import) somewhere in the package, the
+  demos or the acceptance suite, outside its own definition: code that
+  only unit tests read does not live in the package.
 """
 
 import ast
@@ -22,7 +26,8 @@ import pytest
 
 from fresh import run_python_fresh
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmphf_lab"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "mmphf_lab"
 HEAVY = ("scipy", "numpy", "networkx")
 # classes that one module alone constructs -> that module
 CONSTRUCTORS = {"EnumerationCapExceeded": "caps.py", "Graph": "graphs.py"}
@@ -142,6 +147,86 @@ def test_checker_sees_module_level_heavy_imports(tmp_path):
         "mod.py:2: imports scipy.stats at module level",
         "mod.py:4: imports networkx at module level",
         "mod.py:9: imports scipy at module level",
+    ]
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _name_read(node):
+    """The name a node reads: a loaded `Name`, a loaded attribute, or an import."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def unread_definitions(modules, readers) -> list:
+    """Each module-level public function or class of `modules` that no file
+    of `readers` reads by name outside the definition itself."""
+    reads = set()  # (name, path, top-level definition it is read in, or None)
+    for path in readers:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                reads.update((name, path, owner) for name in _name_read(node))
+    out = []
+    for path in modules:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            public = isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_")
+            if public and not any(
+                name == stmt.name and (where, owner) != (path, stmt.name)
+                for name, where, owner in reads
+            ):
+                out.append(f"{path.name}:{stmt.lineno}: {stmt.name} is unread outside itself")
+    return out
+
+
+def test_package_names_are_read_outside_the_unit_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    demos = sorted((REPO / "demos").glob("*.py"))
+    readers = [*modules, *demos, REPO / "tests" / "test_acceptance.py"]
+    assert unread_definitions(modules, readers) == []
+
+
+def test_checker_sees_unread_definitions(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def read_by_name():\n"
+        "    pass\n"
+        "def read_by_attribute():\n"
+        "    pass\n"
+        "def read_by_import():\n"
+        "    pass\n"
+        "def reads_itself(n):\n"
+        "    return reads_itself(n - 1) if n else 0\n"
+        "class Unread:\n"
+        "    def method(self):\n"
+        "        return read_by_name()\n"
+        "def _private():\n"
+        "    pass\n"
+        "UNREAD_CONSTANT = 1\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text(
+        "import mod\n"
+        "from mod import read_by_import\n"
+        "mod.read_by_attribute()\n"
+        "mod.reads_itself = None\n"
+        "print('Unread')\n"
+    )
+    assert unread_definitions([mod], [mod, demo]) == [
+        "mod.py:7: reads_itself is unread outside itself",
+        "mod.py:9: Unread is unread outside itself",
+    ]
+    assert unread_definitions([mod], [mod]) == [
+        "mod.py:3: read_by_attribute is unread outside itself",
+        "mod.py:5: read_by_import is unread outside itself",
+        "mod.py:7: reads_itself is unread outside itself",
+        "mod.py:9: Unread is unread outside itself",
     ]
 
 

@@ -420,6 +420,11 @@ class TestParameterize:
         with pytest.raises(EnumerationCapExceeded, match="required 70700 > limit 70699"):
             parameterize(1000, Pow2(Pow2(100**6)), EnumerationCaps(max_exponent_bits=70699))
 
+    def test_n_past_sys_maxsize(self):
+        # the bisection runs on ints, not on a range len() cannot size
+        fp = parameterize(10**20, parse_tower("2^2^64"))
+        assert (fp.m, fp.k) == (2, 5 * 10**19) and fp.u_prime_le_u
+
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 99, 100, 1000, 1024])
     def test_bisection_matches_the_counting_loop(self, n):
         universes = [4, 15, 16, 17, 2**64 - 1, 2**64, 2**65, pow2(pow2(64)), pow2(pow2(729)),

@@ -58,7 +58,10 @@ def test_mix64_is_64_bit():
 
 
 def test_draw_wider_than_getrandbits_takes_is_a_value_error():
-    # getrandbits takes its width as a C int; 2^40 bits is the canonical m = 4 s0
-    for n in (1 << 31, 1 << 40):
-        with pytest.raises(ValueError, match="random bits"):
+    # getrandbits takes its width as a C int; 2^40 bits is the canonical m = 4 s0,
+    # and 10^5000 is past the interpreter's int-to-str digit limit
+    widths = [(1 << 31, "2147483648"), (1 << 40, "1099511627776"), (10**5000, "1" + "0" * 5000)]
+    for n, shown in widths:
+        with pytest.raises(ValueError) as exc:
             BitSampler(0).bits(n)
+        assert str(exc.value) == f"cannot draw {shown} random bits at once (at most 2^31 - 1)"

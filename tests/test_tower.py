@@ -111,4 +111,6 @@ class TestParse:
     def test_str_roundtrip(self):
         assert tower_str(parse_tower("2^2^100")) == "2^2^100"
         assert tower_str(65536) == "65536"
+        # a leaf past the interpreter's int-to-str digit limit
+        assert tower_str(Pow2(10**5000)) == "2^1" + "0" * 5000
         assert str(parse_tower("2^2^100")) == "2^2^100"

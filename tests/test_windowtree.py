@@ -15,6 +15,7 @@ from mmphf_lab.windowtree import (
     WindowTreeSpec,
     build_tree,
     case1_inequality_check,
+    check_leaf_bound,
     density,
     event_no_prune_on_prefix,
     final_window_experiment,
@@ -55,6 +56,15 @@ class TestBuild:
         with pytest.raises(EnumerationCapExceeded) as exc:
             build_tree(spec, EnumerationCaps(max_vertices=2**100))
         assert exc.value.required == spec.node_count == (3**65 - 1) // 2
+
+    def test_leaf_bound_without_the_power(self):
+        # 100000^(10^9) has at least 2^(16 * 10^9) leaves; nothing of its size is built
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            check_leaf_bound(100000, 10**9)
+        assert exc.value.required == Pow2(16 * 10**9)
+        # below 2^64 leaves the bound is left to the exact node count
+        check_leaf_bound(2, 63)
+        check_leaf_bound(3, 64, EnumerationCaps(max_vertices=2**64))
 
     def test_node_cap(self):
         with pytest.raises(EnumerationCapExceeded):
