@@ -39,7 +39,6 @@ print("  kept-leaf fraction:", result.kept_leaf_fraction, "(always equal)")
 print()
 print("Sparse-case density bound on 200 random instances")
 rng = BitSampler(4)
-worst = Fraction(0)
 for _ in range(200):
     arity = 2 + rng.choice_index(3)
     depth = 1 + rng.choice_index(2)
@@ -51,8 +50,6 @@ for _ in range(200):
     delta = min(pr.survival_product + Fraction(rng.choice_index(5), 10), Fraction(1))
     root_density = density(t.window(0, 0), labels, 1)
     assert case1_inequality_check(pr, root_density, delta)
-    gap = delta + tau - root_density
-    worst = max(worst, -gap) if gap < 0 else worst
 print("  all instances satisfy density(root) <= delta + tau")
 
 print()

@@ -215,7 +215,9 @@ def _graph(args):
 def _chi(args):
     from . import coloring
 
-    chi, witness = coloring.chromatic_number(_build_graph(args), _caps(args))
+    graph = _build_graph(args)
+    chi, witness = coloring.chromatic_number(graph, _caps(args))
+    coloring.verify_coloring(graph, chi, witness)
     return {"chi": chi, "coloring": witness}, None, True
 
 

@@ -8,8 +8,9 @@ duality, no floating point anywhere).  `fractional_chromatic_number`
 checks every report it returns once, in `_verify_report`: independent,
 covering primal sets, a dual whose largest mass on an independent set of
 the graph is at most 1, equal values, and chi_f <= chi with a proper
-coloring whose colors lie in range(chi).  The dual is checked against the
-graph itself, on the subgraph its positive-weight vertices induce
+coloring whose colors lie in range(chi) (`verify_coloring`, which the
+`chi` subcommand also runs).  The dual is checked against the graph
+itself, on the subgraph its positive-weight vertices induce
 (`max_mass`), never against the column list the LP was given, so a set
 missing from that list shows up as an infeasible dual.  The LP solver
 checks nothing of its own result.
@@ -82,13 +83,6 @@ class DualWitness:
     @property
     def value(self) -> Fraction:
         return sum(self.weights.values(), ZERO)
-
-    def as_distribution(self) -> dict:
-        """Rescale to total mass 1; keeps the certificate exact."""
-        total = self.value
-        if total <= 0:
-            raise ValueError("cannot normalize a zero witness")
-        return {v: w / total for v, w in self.weights.items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -359,12 +353,15 @@ def _verify_report(graph: Graph, report: ChiReport) -> None:
     if report.chi is not None:
         if report.chi_f > report.chi:
             raise RuntimeError("chi_f exceeded chi; solver bug")
-        if len(report.coloring) != graph.n or any(
-            c not in range(report.chi) for c in report.coloring
-        ):
-            raise RuntimeError("coloring witness uses colors outside range(chi); solver bug")
-        if not is_proper_coloring(graph, report.coloring):
-            raise RuntimeError("coloring witness improper; solver bug")
+        verify_coloring(graph, report.chi, report.coloring)
+
+
+def verify_coloring(graph: Graph, chi: int, coloring: list) -> None:
+    """Check a chi witness: one color in range(chi) per vertex, none shared by an edge."""
+    if len(coloring) != graph.n or any(c not in range(chi) for c in coloring):
+        raise RuntimeError("coloring witness uses colors outside range(chi); solver bug")
+    if not is_proper_coloring(graph, coloring):
+        raise RuntimeError("coloring witness improper; solver bug")
 
 
 def verify_primal(num_vertices: int, primal: FractionalColoring) -> bool:

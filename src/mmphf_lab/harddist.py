@@ -310,8 +310,10 @@ def adversary_bound_exact(
 
     Brute force over all assignments of the support elements (elements
     outside every support tuple cannot matter and are pinned to index 1).
-    The argmax is returned as a total dict on [1, universe_size].
+    The argmax is returned as a total dict on [1, universe_size], so the
+    universe is refused by `max_vertices` before anything is enumerated.
     """
+    caps.check("max_vertices", dist.universe_size)
     best = Fraction(-1)
     best_f: dict = {}
     # the enumeration is lexicographic, so the argmax is the first maximum

@@ -70,10 +70,6 @@ class KeySet:
     def n(self) -> int:
         return len(self.elements)
 
-    def rank(self, q: int) -> int:
-        """Number of members strictly below q."""
-        return bisect_left(self.elements, q)
-
 
 def keyset_from_text(text: str) -> KeySet:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -94,30 +90,12 @@ class BitString:
         if self.length < 0 or self.value < 0 or self.value >> self.length:
             raise ValueError("bit-string value does not fit its length")
 
-    def to01(self) -> str:
-        return format(self.value, f"0{self.length}b") if self.length else ""
-
     def slice_int(self, start: int, width: int) -> int:
         """Bits [start, start+width) with bit 0 the most significant."""
         if start < 0 or width < 0 or start + width > self.length:
             raise ValueError("slice outside the bit string")
         shift = self.length - start - width
         return (self.value >> shift) & ((1 << width) - 1)
-
-
-class _BitWriter:
-    def __init__(self):
-        self.value = 0
-        self.length = 0
-
-    def write(self, v: int, width: int):
-        if v < 0 or (width >= 0 and v >> width):
-            raise ValueError("value does not fit the field width")
-        self.value = (self.value << width) | v
-        self.length += width
-
-    def done(self) -> BitString:
-        return BitString(self.value, self.length)
 
 
 @dataclass(frozen=True)
@@ -284,14 +262,13 @@ def _build_rank_map(keys: KeySet, seed: int) -> BitString:
         displacements, slots = placed
         dmax = max(displacements)
         dwidth = max(1, dmax.bit_length())
-        w = _BitWriter()
-        w.write(attempt, _ATTEMPT_BITS)
-        w.write(dwidth, _DWIDTH_BITS)
+        # most significant first: attempt, dwidth, displacements, slots
+        value = attempt << _DWIDTH_BITS | dwidth
         for d in displacements:
-            w.write(d, dwidth)
+            value = value << dwidth | d
         for r in slots:
-            w.write(r, rbits)
-        return w.done()
+            value = value << rbits | r
+        return BitString(value, _ATTEMPT_BITS + _DWIDTH_BITS + n * (dwidth + rbits))
     raise RuntimeError("rank-map construction failed for every attempt salt")
 
 

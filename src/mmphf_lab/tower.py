@@ -9,7 +9,10 @@ exponents.
 
 `ScaledPow2` represents c * 2^e for a plain integer mantissa c >= 1 and
 integer exponent e >= 0, which is how derived universe sizes are kept
-exact when c is not a power of two.
+exact when c is not a power of two.  Its one comparison, `le`, asks
+c * 2^e <= x for a tower value x: against 2^T it compares
+e + bit_length(c - 1) with T, and against an int it builds c * 2^e
+only once the bit lengths show it is no longer than x.
 """
 
 from dataclasses import dataclass
@@ -72,25 +75,13 @@ class ScaledPow2:
         if self.mantissa < 1 or self.exponent < 0:
             raise ValueError("need mantissa >= 1 and exponent >= 0")
 
-    def cmp(self, other: TowerInt) -> int:
-        m, e = self.mantissa, self.exponent
-        if isinstance(other, int):
-            if other < 1:
-                return 1
-            bits_v = e + m.bit_length()  # value in [2^(bits_v-1), 2^bits_v)
-            bits_o = other.bit_length()
-            if bits_v != bits_o:
-                return 1 if bits_v > bits_o else -1
-            v = m << e  # same bit length as an existing int, safe to build
-            return (v > other) - (v < other)
-        # against 2^T, with 2^(w-1) <= m < 2^w
-        w = m.bit_length()
-        if m & (m - 1) == 0:
-            return tower_cmp(e + w - 1, other.exponent)
-        return 1 if tower_cmp(other.exponent, e + w - 1) <= 0 else -1
-
     def le(self, other: TowerInt) -> bool:
-        return self.cmp(other) <= 0
+        """mantissa * 2^exponent <= other, never building a power larger than other."""
+        m, e = self.mantissa, self.exponent
+        if isinstance(other, Pow2):
+            # 2^w with w = bit_length(m - 1) is the least power of two >= m
+            return tower_cmp(e + (m - 1).bit_length(), other.exponent) <= 0
+        return e + m.bit_length() <= other.bit_length() and m << e <= other
 
     def __str__(self) -> str:
         return f"{self.mantissa}*2^{int_str(self.exponent)}"

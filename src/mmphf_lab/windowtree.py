@@ -30,7 +30,7 @@ from typing import Optional
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, label_getter
 from .harddist import SamplerParams, sample as sample_trace
-from .rng import GENERATOR_NAME, BitSampler, derive_seed
+from .rng import BitSampler, derive_seed
 from .serialize import frac_str
 from .tower import Pow2, pow2
 
@@ -237,7 +237,6 @@ class SamplingPath:
 
     nodes: tuple  # node indices per level, nodes[l] at level l
     sample: int
-    seed: int
 
 
 def sample_path(tree: WindowTree, seed: int) -> SamplingPath:
@@ -253,13 +252,13 @@ def sample_path(tree: WindowTree, seed: int) -> SamplingPath:
         nodes.append(idx)
     start, length = tree.window(tree.spec.depth, idx)
     point = start + rng.choice_index(length)
-    return SamplingPath(nodes=tuple(nodes), sample=point, seed=seed)
+    return SamplingPath(nodes=tuple(nodes), sample=point)
 
 
 def path_for_position(tree: WindowTree, position: int) -> SamplingPath:
     """The unique root-to-leaf path whose leaf window contains the position."""
     nodes = tuple(tree.node_at(level, position) for level in range(tree.levels))
-    return SamplingPath(nodes=nodes, sample=position, seed=-1)
+    return SamplingPath(nodes=nodes, sample=position)
 
 
 def event_no_prune_on_prefix(path: SamplingPath, pruned: PruneResult, z: int) -> bool:
@@ -308,32 +307,12 @@ class FinalWindowReport:
     conditioned: int
     low_density: int
     seed: int
-    generator: str = GENERATOR_NAME
 
     @property
     def fraction(self) -> Optional[Fraction]:
         if self.conditioned == 0:
             return None
         return Fraction(self.low_density, self.conditioned)
-
-    @property
-    def empty_conditioning(self) -> bool:
-        return self.conditioned == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": {"m": self.params.m, "k": self.params.k, "s0": self.params.s0},
-            "index": self.index,
-            "tau": frac_str(self.tau),
-            "threshold": frac_str(self.threshold),
-            "trials": self.trials,
-            "conditioned": self.conditioned,
-            "low_density": self.low_density,
-            "fraction": frac_str(self.fraction) if self.fraction is not None else None,
-            "empty_conditioning": self.empty_conditioning,
-            "seed": self.seed,
-            "generator": self.generator,
-        }
 
 
 def final_window_experiment(

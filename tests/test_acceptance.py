@@ -18,7 +18,6 @@ from mmphf_lab.coloring import (
     evaluate_dual_witness,
     fractional_chromatic_number,
     is_proper_coloring,
-    maximal_sets_bits,
     product_multiplicativity_certificates,
 )
 from mmphf_lab.errors import SchemeViolationError

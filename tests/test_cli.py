@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from fresh import run_cli_fresh
-from mmphf_lab import cli, mmphf, serialize, windowtree
+from mmphf_lab import cli, coloring, mmphf, serialize, windowtree
 from mmphf_lab.cli import main
 from mmphf_lab.rng import derive_seed
 from mmphf_lab.serialize import int_str
@@ -80,6 +80,20 @@ class TestChi:
         proc = run_cli_fresh("chi", "--graph", "shift", "--n", "2", "--u", "17", timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "max_search_nodes" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "witness, message",
+        [
+            ((3, [0, 1, 2, 3, 4]), "outside range(chi)"),
+            ((5, [0, 1, 2, 3, 3]), "improper"),
+        ],
+        ids=["outside-range", "improper"],
+    )
+    def test_witness_is_verified(self, monkeypatch, witness, message):
+        # shift(1,5) is K5; a wrong witness from the solver must not be printed
+        monkeypatch.setattr(coloring, "chromatic_number", lambda graph, caps: witness)
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            main(["chi", "--graph", "shift", "--n", "1", "--u", "5"])
 
 
 class TestGraph:
@@ -574,6 +588,13 @@ class TestAstronomicalInputs:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_outcomes "
                                "(required 2199023255550 > limit 10000000)\n")
+
+    def test_adversary_universe_names_the_cap(self):
+        # the argmax labels every element of the universe, so it is refused up front
+        proc = run_cli_fresh("adversary", "--tuples", "1,2=1", "--universe", "1000000000")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_vertices "
+                               "(required 1000000000 > limit 1000000)\n")
 
     def test_shift_2_120_graph_builds(self):
         proc = run_cli_fresh("graph", "--graph", "shift", "--n", "2", "--u", "120", timeout=10)

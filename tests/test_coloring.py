@@ -425,7 +425,9 @@ class TestDualWitness:
     def test_optimal_dual_distribution_attains_chi_f(self):
         for g in (cycle(5), cycle(7), complete(4), build_graph(ConflictSpec(2, 5))):
             rep = fractional_chromatic_number(g, include_chi=False)
-            mu = rep.dual.as_distribution()
+            total = rep.dual.value
+            assert total > 0
+            mu = {v: w / total for v, w in rep.dual.weights.items()}
             assert evaluate_dual_witness(g, mu) == rep.chi_f
 
 

@@ -13,7 +13,6 @@ from mmphf_lab.errors import EnumerationCapExceeded
 from mmphf_lab.graphs import ConflictSpec, bit_indices, bron_kerbosch_maximal_sets, build_graph
 from mmphf_lab.harddist import (
     ExplicitTupleDistribution,
-    MonteCarloReport,
     SamplerParams,
     SampleTrace,
     adversary_bound_exact,
@@ -451,6 +450,14 @@ class TestAdversary:
         dist = ExplicitTupleDistribution(m=2, universe_size=20, outcomes=pairs)
         with pytest.raises(EnumerationCapExceeded):
             adversary_bound_exact(dist, EnumerationCaps(max_label_functions=100))
+
+    def test_universe_cap(self):
+        dist = ExplicitTupleDistribution(m=2, universe_size=20, outcomes=(((1, 2), Fraction(1)),))
+        best, f = adversary_bound_exact(dist, EnumerationCaps(max_vertices=20))
+        assert best == 1 and len(f) == 20
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            adversary_bound_exact(dist, EnumerationCaps(max_vertices=19))
+        assert (exc.value.cap_name, exc.value.required, exc.value.limit) == ("max_vertices", 20, 19)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):

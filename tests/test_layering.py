@@ -14,9 +14,15 @@
   `import mmphf_lab` loads `harddist` but not `coloring`, `lp`, `mmphf`
   or `windowtree`, which load on first use and resolve as attributes.
 * Every module-level public function and class of the package is read by
-  name (a `Name`, an attribute or an import) somewhere in the package, the
-  demos or the acceptance suite, outside its own definition: code that
-  only unit tests read does not live in the package.
+  name (a loaded `Name` or attribute; an import alone is not a read)
+  somewhere in the package, the demos or the acceptance suite, outside its
+  own definition: code that only unit tests read does not live in the
+  package.
+* Every public method or property of a public package class is read as a
+  loaded attribute of that name in the same files, outside its own body.
+  Dataclass fields and dunders are exempt.  The read is matched by name
+  alone, so a member that shares its name with a read member of another
+  class passes.
 """
 
 import ast
@@ -154,13 +160,11 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _name_read(node):
-    """The name a node reads: a loaded `Name`, a loaded attribute, or an import."""
+    """The name a node reads: a loaded `Name` or a loaded attribute."""
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         return [node.id]
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         return [node.attr]
-    if isinstance(node, ast.ImportFrom):
-        return [alias.name for alias in node.names]
     return []
 
 
@@ -199,7 +203,7 @@ def test_checker_sees_unread_definitions(tmp_path):
         "    pass\n"
         "def read_by_attribute():\n"
         "    pass\n"
-        "def read_by_import():\n"
+        "def only_imported():\n"
         "    pass\n"
         "def reads_itself(n):\n"
         "    return reads_itself(n - 1) if n else 0\n"
@@ -209,24 +213,137 @@ def test_checker_sees_unread_definitions(tmp_path):
         "def _private():\n"
         "    pass\n"
         "UNREAD_CONSTANT = 1\n"
+        "def called_after_import():\n"
+        "    pass\n"
     )
     demo = tmp_path / "demo.py"
     demo.write_text(
         "import mod\n"
-        "from mod import read_by_import\n"
+        "from mod import only_imported, called_after_import\n"
         "mod.read_by_attribute()\n"
         "mod.reads_itself = None\n"
+        "called_after_import()\n"
         "print('Unread')\n"
     )
     assert unread_definitions([mod], [mod, demo]) == [
+        "mod.py:5: only_imported is unread outside itself",
         "mod.py:7: reads_itself is unread outside itself",
         "mod.py:9: Unread is unread outside itself",
     ]
     assert unread_definitions([mod], [mod]) == [
         "mod.py:3: read_by_attribute is unread outside itself",
-        "mod.py:5: read_by_import is unread outside itself",
+        "mod.py:5: only_imported is unread outside itself",
         "mod.py:7: reads_itself is unread outside itself",
         "mod.py:9: Unread is unread outside itself",
+        "mod.py:15: called_after_import is unread outside itself",
+    ]
+
+
+def _attribute_reads(path: Path) -> list:
+    """(attribute name, lines of the function definitions around the read)
+    for every loaded attribute in the file."""
+    out = []
+
+    def visit(node, around):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            around = around | {node.lineno}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, around))
+        for child in ast.iter_child_nodes(node):
+            visit(child, around)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return out
+
+
+def unread_members(modules, readers) -> list:
+    """Each public method or property of a module-level public class of
+    `modules` that no file of `readers` reads as a loaded attribute outside
+    the member's own body.  Dataclass fields are not methods and dunders
+    are not public, so neither is reported."""
+    reads = {}  # attribute name -> [(path, lines of the definitions around the read)]
+    for path in readers:
+        for name, around in _attribute_reads(path):
+            reads.setdefault(name, []).append((path, around))
+    out = []
+    for path in modules:
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for member in cls.body:
+                public = isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not member.name.startswith("_")
+                )
+                if public and all(
+                    where == path and member.lineno in around
+                    for where, around in reads.get(member.name, ())
+                ):
+                    out.append(
+                        f"{path.name}:{member.lineno}: {cls.name}.{member.name}"
+                        " is unread outside itself"
+                    )
+    return out
+
+
+def test_package_members_are_read_outside_the_unit_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    demos = sorted((REPO / "demos").glob("*.py"))
+    readers = [*modules, *demos, REPO / "tests" / "test_acceptance.py"]
+    assert unread_members(modules, readers) == []
+
+
+def test_checker_sees_unread_members(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    field: int\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def read_elsewhere(self):\n"
+        "        return self.field\n"
+        "    def read_by_sibling(self):\n"
+        "        return 1\n"
+        "    def sibling(self):\n"
+        "        return self.read_by_sibling()\n"
+        "    def reads_itself(self, n):\n"
+        "        return self.reads_itself(n - 1) if n else 0\n"
+        "    @property\n"
+        "    def unread_property(self):\n"
+        "        return 0\n"
+        "    def only_assigned(self):\n"
+        "        pass\n"
+        "    def only_named(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "class _Hidden:\n"
+        "    def unread(self):\n"
+        "        pass\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text(
+        "import mod\n"
+        "box = mod.Box(1)\n"
+        "print(box.read_elsewhere, box.sibling())\n"
+        "box.only_assigned = None\n"
+        "only_named = 'only_named'\n"
+    )
+    assert unread_members([mod], [mod, demo]) == [
+        "mod.py:14: Box.reads_itself is unread outside itself",
+        "mod.py:17: Box.unread_property is unread outside itself",
+        "mod.py:19: Box.only_assigned is unread outside itself",
+        "mod.py:21: Box.only_named is unread outside itself",
+    ]
+    assert unread_members([mod], [mod]) == [
+        "mod.py:8: Box.read_elsewhere is unread outside itself",
+        "mod.py:12: Box.sibling is unread outside itself",
+        "mod.py:14: Box.reads_itself is unread outside itself",
+        "mod.py:17: Box.unread_property is unread outside itself",
+        "mod.py:19: Box.only_assigned is unread outside itself",
+        "mod.py:21: Box.only_named is unread outside itself",
     ]
 
 

@@ -55,24 +55,26 @@ class TestCompare:
 class TestScaledPow2:
     def test_against_int(self):
         v = ScaledPow2(3, 4)  # 48
-        assert v.cmp(47) == 1 and v.cmp(48) == 0 and v.cmp(49) == -1
+        assert not v.le(47) and v.le(48) and v.le(49)
+        assert not v.le(0) and not v.le(-48)
+        for c in range(1, 70):
+            for e in range(0, 140, 3):
+                assert not ScaledPow2(c, e).le((c << e) - 1) and ScaledPow2(c, e).le(c << e)
 
     def test_against_pow2_power_of_two_mantissa(self):
         v = ScaledPow2(8, 61)  # 2^64
-        assert v.cmp(Pow2(64)) == 0
-        assert v.cmp(Pow2(65)) == -1
-        assert v.cmp(Pow2(63)) == 1
+        assert v.le(Pow2(64)) and v.le(Pow2(65))
+        assert not v.le(Pow2(63))
 
     def test_against_pow2_general_mantissa(self):
         v = ScaledPow2(3, 10)  # 3 * 2^10, between 2^11 and 2^12
-        assert v.cmp(Pow2(11)) == 1
-        assert v.cmp(Pow2(12)) == -1
-        assert v.cmp(Pow2(10**9)) == -1
+        assert not v.le(Pow2(11))
+        assert v.le(Pow2(12)) and v.le(Pow2(10**9))
 
     def test_against_nested_tower(self):
         v = ScaledPow2(512, 64)  # 2^73
-        assert v.le(Pow2(1 << 64))
-        assert v.cmp(Pow2(Pow2(4))) == 1  # 2^16
+        assert v.le(Pow2(1 << 64)) and v.le(Pow2(Pow2(7)))  # 2^128
+        assert not v.le(Pow2(Pow2(4)))  # 2^16
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,11 +85,11 @@ class TestScaledPow2:
             for e in range(0, 140, 3):
                 v = c << e
                 for t in range(200):
-                    assert ScaledPow2(c, e).cmp(Pow2(t)) == (v > 1 << t) - (v < 1 << t)
+                    assert ScaledPow2(c, e).le(Pow2(t)) == (v <= 1 << t)
                 # 2^128 is still built; the deeper towers exceed every c * 2^e here
-                assert ScaledPow2(c, e).cmp(Pow2(Pow2(7))) == (v > 1 << 128) - (v < 1 << 128)
+                assert ScaledPow2(c, e).le(Pow2(Pow2(7))) == (v <= 1 << 128)
                 for deep in (Pow2(Pow2(8)), Pow2(Pow2(Pow2(6))), Pow2(Pow2(Pow2(Pow2(64))))):
-                    assert ScaledPow2(c, e).cmp(deep) == -1
+                    assert ScaledPow2(c, e).le(deep)
 
     def test_str_of_an_exponent_past_the_digit_limit(self):
         assert str(ScaledPow2(10, 100**10100)) == "10*2^1" + "0" * 20200

@@ -277,7 +277,7 @@ class TestFinalWindowExperiment:
             params, lambda e: 2, index=1, tau=Fraction(1, 2), trials=50, seed=4
         )
         assert rep.conditioned == 0
-        assert rep.empty_conditioning and rep.fraction is None
+        assert rep.fraction is None
 
     def test_striped_adversary_reports_fraction(self):
         params = SamplerParams(2, 2, 8)
@@ -286,9 +286,8 @@ class TestFinalWindowExperiment:
             params, f, index=1, tau=Fraction(1, 4), trials=300, seed=9
         )
         assert rep.conditioned + rep.low_density >= 0  # report-only
-        data = rep.to_json_dict()
-        assert data["trials"] == 300
-        assert data["threshold"] == "1/1"  # default 2/m with m=2
+        assert rep.trials == 300
+        assert rep.threshold == Fraction(1)  # default 2/m with m=2
 
     def test_window_cap(self):
         params = SamplerParams(2, 2, 32)
