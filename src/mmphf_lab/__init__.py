@@ -20,14 +20,6 @@ __version__ = "0.1.0"
 import importlib
 
 from . import caps, graphs, harddist, rng, tower  # noqa: F401
-from .caps import DEFAULT_CAPS, EnumerationCaps  # noqa: F401
-from .errors import (  # noqa: F401
-    CorruptIndexError,
-    EnumerationCapExceeded,
-    InvalidVertexError,
-    MmphfLabError,
-    SchemeViolationError,
-)
 
 _LAZY = ("coloring", "lp", "mmphf", "windowtree")
 

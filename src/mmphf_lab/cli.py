@@ -189,11 +189,11 @@ def _build_graph(args) -> graphs.Graph:
     return graphs.build_graph(spec, _caps(args))
 
 
-def _refuse_flags(family: str, flags: dict) -> None:
-    """A usage error naming the given flags of the other family, if any."""
+def _refuse_flags(owner: str, flags: dict, refusal: str = "graphs take no") -> None:
+    """A usage error naming the given flags that `owner` refuses, if any."""
     given = [flag for flag, value in flags.items() if value is not None]
     if given:
-        raise ValueError(f"{family} graphs take no {', '.join(given)}")
+        raise ValueError(f"{owner} {refusal} {', '.join(given)}")
 
 
 def _graph_export_flags(sp):
@@ -251,6 +251,7 @@ def _params_flags(sp):
 
 def _params(args) -> harddist.SamplerParams:
     if args.defaults:
+        _refuse_flags("--defaults", {"--k": args.k, "--s0": args.s0}, "takes no")
         return harddist.SamplerParams.canonical(args.m)
     if args.k is None or args.s0 is None:
         raise ValueError("need --k and --s0, or --defaults")
@@ -442,6 +443,7 @@ def _mmphf_verify(args):
             elements=tuple(int(x) for x in args.keys.split(",")), u=args.u
         )
     else:
+        _refuse_flags("--keys-file", {"--u": args.u}, "takes no")  # u comes from the header
         with open(args.keys_file) as fh:
             keys = mmphf.keyset_from_text(fh.read())
     idx = mmphf.build(args.scheme, keys, seed=args.seed)

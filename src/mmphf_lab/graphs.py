@@ -48,7 +48,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import InvalidVertexError
 
-Vertex = tuple
 LabelFn = Union[Mapping[int, int], Callable[[int], int]]
 
 

@@ -81,7 +81,6 @@ class SamplerParams:
 class WindowGeometry:
     """Exponent ladder of the window sizes one iteration can produce."""
 
-    iteration: int
     s_prev: int
     step: int
     k: int
@@ -108,7 +107,7 @@ def window_geometry(params: SamplerParams, i: int, s_prev: int) -> WindowGeometr
         raise ValueError(
             f"exponent underflow: s_prev={s_prev} < (k-1)*step={(params.k - 1) * step}"
         )
-    return WindowGeometry(iteration=i, s_prev=s_prev, step=step, k=params.k)
+    return WindowGeometry(s_prev=s_prev, step=step, k=params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +246,13 @@ class ExplicitTupleDistribution:
         total = sum((p for _, p in self.outcomes), Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        prev = None
         for t, p in self.outcomes:
             if p < 0:
                 raise ValueError("negative probability")
+            if t == prev:
+                raise ValueError(f"tuple {t} is listed twice")
+            prev = t
             if len(t) != self.m or any(b <= a for a, b in zip(t, t[1:])):
                 raise ValueError(f"tuple {t} is not a strictly increasing {self.m}-tuple")
             if t[0] < 1 or t[-1] > self.universe_size:
@@ -335,14 +338,13 @@ CONFIDENCE = 0.99  # of every Monte-Carlo interval
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """Success fraction of `trials` sampled traces, exact in `estimate`, and
+    its Clopper-Pearson interval at confidence `CONFIDENCE`."""
+
     trials: int
-    successes: int
     estimate: Fraction
-    confidence: float
     ci_low: float
     ci_high: float
-    seed: int
-    generator: str = GENERATOR_NAME
 
 
 def binomial_ci(successes: int, trials: int) -> tuple:
@@ -385,11 +387,5 @@ def monte_carlo_success(
             successes += 1
     lo, hi = binomial_ci(successes, trials)
     return MonteCarloReport(
-        trials=trials,
-        successes=successes,
-        estimate=Fraction(successes, trials),
-        confidence=CONFIDENCE,
-        ci_low=lo,
-        ci_high=hi,
-        seed=seed,
+        trials=trials, estimate=Fraction(successes, trials), ci_low=lo, ci_high=hi
     )

@@ -291,22 +291,19 @@ def case1_inequality_check(result: PruneResult, root_density: Fraction, delta) -
 
 @dataclass(frozen=True)
 class FinalWindowReport:
-    """Monte-Carlo record of final-window densities conditioned on clean prefixes.
+    """Monte-Carlo counts of final-window densities conditioned on clean prefixes.
 
-    `conditioned` counts trials where no pruned node appeared among the
-    first z_i path nodes of iteration `index`; among those, `low_density`
-    counts final windows with density below the threshold.  Report-only:
-    no bound is asserted.
+    Of `trials` traces, `conditioned` counts those where no pruned node
+    appeared among the first z_i path nodes of the iteration `index` passed
+    to `final_window_experiment`; among those, `low_density` counts final
+    windows with density below `threshold` (2/m).  The caller's inputs are
+    not repeated.  Report-only: no bound is asserted.
     """
 
-    params: SamplerParams
-    index: int
-    tau: Fraction
     threshold: Fraction
     trials: int
     conditioned: int
     low_density: int
-    seed: int
 
     @property
     def fraction(self) -> Optional[Fraction]:
@@ -362,12 +359,5 @@ def final_window_experiment(
             if density((lo, hi - lo + 1), f, index) < threshold:
                 low += 1
     return FinalWindowReport(
-        params=params,
-        index=index,
-        tau=tau,
-        threshold=threshold,
-        trials=trials,
-        conditioned=conditioned,
-        low_density=low,
-        seed=seed,
+        threshold=threshold, trials=trials, conditioned=conditioned, low_density=low
     )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -160,6 +161,26 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--m", "2", "--k", "1", "--s0", "8")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--m", "2", "--defaults", "--k", "5", "--s0", "100"],
+             "--defaults takes no --k, --s0"),
+            (["enumerate", "--m", "1", "--s0", "64", "--defaults"], "--defaults takes no --s0"),
+        ],
+        ids=["sample", "enumerate"],
+    )
+    def test_defaults_refuses_k_and_s0(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"mmphf-lab: error: {message}\n")
+
+    def test_defaults_alone_keeps_its_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--m", "2", "--defaults")
+        assert (code, err) == (0, "")
+        # sha256 of the stdout this call printed before `--defaults` refused `--k` and `--s0`
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "54dfd64aa2cdb5ca3a2fa20214470b8abfae885ed767e16b1f1d2e856e435dbc"
+        )
+
 
 class TestEnumerateAndAdversary:
     def test_enumerate_normalized(self, capsys):
@@ -178,6 +199,11 @@ class TestEnumerateAndAdversary:
         data = json.loads(out)
         assert code == 0
         assert data["max_probability"] == "1/2"
+
+    def test_adversary_refuses_a_repeated_tuple(self, capsys):
+        assert run_cli(capsys, "adversary", "--tuples", "1,2=1/2;1,2=1/2") == (
+            2, "", "mmphf-lab: error: tuple (1, 2) is listed twice\n"
+        )
 
     def test_adversary_label_function_cap(self, capsys):
         code, _, err = run_cli(
@@ -241,6 +267,25 @@ class TestMmphfVerify:
             "--seed", "4",
         )
         assert code == 0 and json.loads(out)["ok"]
+
+    def test_keys_file_refuses_u(self, capsys, tmp_path):
+        kf = tmp_path / "keys.txt"
+        kf.write_text("u=10\n3\n9\n")
+        argv = ("mmphf-verify", "--scheme", "rank-map", "--keys-file", str(kf), "--u", "999")
+        assert run_cli(capsys, *argv) == (2, "", "mmphf-lab: error: --keys-file takes no --u\n")
+
+    def test_keys_file_without_u_keeps_its_bytes(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "keys.txt").write_text("u=16\n3\n9\n12\n")
+        monkeypatch.chdir(tmp_path)  # meta.config records the path as given
+        code, out, err = run_cli(
+            capsys, "mmphf-verify", "--scheme", "rank-map", "--keys-file", "keys.txt",
+            "--seed", "4",
+        )
+        assert (code, err) == (0, "")
+        # sha256 of the stdout this call printed before `--keys-file` refused `--u`
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5f7dbf4bd2c2ca3194247b25587d29bed2bafd62769f4fb8d877b28ea80051bd"
+        )
 
     def test_explicit_set_near_2_to_the_64_fresh_process(self):
         proc = run_cli_fresh(

@@ -13,16 +13,27 @@
 * A fresh process loads only the package modules its subcommand runs:
   `import mmphf_lab` loads `harddist` but not `coloring`, `lp`, `mmphf`
   or `windowtree`, which load on first use and resolve as attributes.
-* Every module-level public function and class of the package is read by
-  name (a loaded `Name` or attribute; an import alone is not a read)
-  somewhere in the package, the demos or the acceptance suite, outside its
-  own definition: code that only unit tests read does not live in the
-  package.
+* Every module-level public function, class and assigned name of the
+  package is read by name (a loaded `Name` or attribute; an import alone
+  is not a read) somewhere in the package, the demos or the acceptance
+  suite, outside the statement that defines or binds it: code that only
+  unit tests read does not live in the package.
+* Every public name that `__init__.py` imports from a submodule is read
+  from the package root in the same files, as `mmphf_lab.NAME` or
+  imported from `mmphf_lab` and then read.  Submodules that it binds with
+  `from . import mod` are exempt: they are what `import mmphf_lab` loads.
 * Every public method or property of a public package class is read as a
   loaded attribute of that name in the same files, outside its own body.
-  Dataclass fields and dunders are exempt.  The read is matched by name
-  alone, so a member that shares its name with a read member of another
-  class passes.
+  Dunders are exempt.
+* Every public dataclass field (an annotated class-body name) of a public
+  package class is read as a loaded attribute of that name in the same
+  files, its own class's methods included, or by string as
+  `getattr(obj, "name")` or `obj.check("name", ...)` (how
+  `EnumerationCaps.check` reads a cap).
+
+These read rules still match a read by name alone, not by what is read:
+a name, member or field that shares its name with a read name or
+attribute of another object passes.
 """
 
 import ast
@@ -168,32 +179,67 @@ def _name_read(node):
     return []
 
 
+def _parse(path: Path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _unread_outside(modules, readers, bound) -> list:
+    """Each public name that a module-level statement of `modules` binds,
+    as `bound(statement)` lists them, and that no file of `readers` reads
+    by name outside that statement."""
+    reads = {}  # name -> {(path, line of the top-level statement it is read in)}
+    for path in readers:
+        for stmt in _parse(path).body:
+            for node in ast.walk(stmt):
+                for name in _name_read(node):
+                    reads.setdefault(name, set()).add((path, stmt.lineno))
+    return [
+        f"{path.name}:{stmt.lineno}: {name} is unread outside itself"
+        for path in modules
+        for stmt in _parse(path).body
+        for name in bound(stmt)
+        if not name.startswith("_") and not reads.get(name, set()) - {(path, stmt.lineno)}
+    ]
+
+
 def unread_definitions(modules, readers) -> list:
     """Each module-level public function or class of `modules` that no file
     of `readers` reads by name outside the definition itself."""
-    reads = set()  # (name, path, top-level definition it is read in, or None)
-    for path in readers:
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            owner = getattr(stmt, "name", None)
-            for node in ast.walk(stmt):
-                reads.update((name, path, owner) for name in _name_read(node))
-    out = []
-    for path in modules:
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            public = isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_")
-            if public and not any(
-                name == stmt.name and (where, owner) != (path, stmt.name)
-                for name, where, owner in reads
-            ):
-                out.append(f"{path.name}:{stmt.lineno}: {stmt.name} is unread outside itself")
-    return out
+    return _unread_outside(
+        modules, readers, lambda stmt: [stmt.name] if isinstance(stmt, DEFINITIONS) else []
+    )
+
+
+def _assigned_names(stmt) -> list:
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [
+        node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)
+    ]
+
+
+def unread_assignments(modules, readers) -> list:
+    """Each public name that an assignment at module level of `modules`
+    binds and that no file of `readers` reads outside that assignment."""
+    return _unread_outside(modules, readers, _assigned_names)
+
+
+def package_readers():
+    """The package modules, and the files whose reads keep their names:
+    the package itself, the demos and the acceptance suite."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    demos = sorted((REPO / "demos").glob("*.py"))
+    return modules, [*modules, *demos, REPO / "tests" / "test_acceptance.py"]
 
 
 def test_package_names_are_read_outside_the_unit_tests():
-    modules = sorted(PACKAGE.glob("*.py"))
-    demos = sorted((REPO / "demos").glob("*.py"))
-    readers = [*modules, *demos, REPO / "tests" / "test_acceptance.py"]
+    modules, readers = package_readers()
     assert unread_definitions(modules, readers) == []
+    assert unread_assignments(modules, readers) == []
 
 
 def test_checker_sees_unread_definitions(tmp_path):
@@ -236,6 +282,111 @@ def test_checker_sees_unread_definitions(tmp_path):
         "mod.py:7: reads_itself is unread outside itself",
         "mod.py:9: Unread is unread outside itself",
         "mod.py:15: called_after_import is unread outside itself",
+    ]
+
+
+def test_checker_sees_unread_assignments(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "READ = 1\n"
+        "UNREAD = 2\n"
+        "Alias = tuple\n"
+        "ANNOTATED: int = 3\n"
+        "FIRST, SECOND = 4, 5\n"
+        "SELF_READ = [SELF_READ for _ in ()]\n"
+        "_PRIVATE = 6\n"
+        "def f(v: Alias):\n"
+        "    return READ, FIRST\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text("import mod\nprint(mod.ANNOTATED)\nmod.UNREAD = 0\n")
+    assert unread_assignments([mod], [mod, demo]) == [
+        "mod.py:2: UNREAD is unread outside itself",
+        "mod.py:5: SECOND is unread outside itself",
+        "mod.py:6: SELF_READ is unread outside itself",
+    ]
+    assert unread_assignments([mod], [mod]) == [
+        "mod.py:2: UNREAD is unread outside itself",
+        "mod.py:4: ANNOTATED is unread outside itself",
+        "mod.py:5: SECOND is unread outside itself",
+        "mod.py:6: SELF_READ is unread outside itself",
+    ]
+
+
+def unread_reexports(init: Path, readers) -> list:
+    """Each public name that the package's `__init__.py` imports from a
+    submodule (`from .mod import NAME`) and that no file of `readers` reads
+    from the package root: as `package.NAME`, or imported from the package
+    and then read.  Submodules bound by `from . import mod` are exempt."""
+    package = init.parent.name
+    reads = set()
+    for path in readers:
+        tree = _parse(path)
+        imported = {}  # local name -> package-root name it is bound to
+        for node in ast.walk(tree):
+            root = isinstance(node, ast.ImportFrom) and (
+                (node.level == 0 and node.module == package)
+                or (node.level == 1 and node.module is None and path.parent == init.parent)
+            )
+            if root:
+                imported.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported:
+                    reads.add(imported[node.id])
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == package
+            ):
+                reads.add(node.attr)
+    out = []
+    for stmt in _parse(init).body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 and stmt.module is not None:
+            bound = [alias.asname or alias.name for alias in stmt.names]
+            out.extend(
+                f"{init.name}:{stmt.lineno}: {name} is unread from the package root"
+                for name in bound
+                if not _is_private(name) and name not in reads
+            )
+    return out
+
+
+def test_package_reexports_are_read():
+    _, readers = package_readers()
+    assert unread_reexports(PACKAGE / "__init__.py", readers) == []
+
+
+def test_checker_sees_unread_reexports(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    init = pkg / "__init__.py"
+    init.write_text(
+        "from . import mod\n"
+        "from .mod import by_attribute, by_import, by_sibling, unread, _private\n"
+        "from .mod import renamed as alias\n"
+    )
+    sibling = pkg / "sibling.py"
+    sibling.write_text("from . import by_sibling\nby_sibling()\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text(
+        "import pkg\n"
+        "from pkg import by_import, unread\n"
+        "from pkg.mod import alias\n"
+        "pkg.by_attribute()\n"
+        "by_import()\n"
+        "alias()\n"
+        "pkg.unread = None\n"
+    )
+    assert unread_reexports(init, [init, sibling, demo]) == [
+        "__init__.py:2: unread is unread from the package root",
+        "__init__.py:3: alias is unread from the package root",
+    ]
+    assert unread_reexports(init, [init, demo]) == [
+        "__init__.py:2: by_sibling is unread from the package root",
+        "__init__.py:2: unread is unread from the package root",
+        "__init__.py:3: alias is unread from the package root",
     ]
 
 
@@ -286,10 +437,9 @@ def unread_members(modules, readers) -> list:
 
 
 def test_package_members_are_read_outside_the_unit_tests():
-    modules = sorted(PACKAGE.glob("*.py"))
-    demos = sorted((REPO / "demos").glob("*.py"))
-    readers = [*modules, *demos, REPO / "tests" / "test_acceptance.py"]
+    modules, readers = package_readers()
     assert unread_members(modules, readers) == []
+    assert unread_fields(modules, readers) == []
 
 
 def test_checker_sees_unread_members(tmp_path):
@@ -344,6 +494,90 @@ def test_checker_sees_unread_members(tmp_path):
         "mod.py:17: Box.unread_property is unread outside itself",
         "mod.py:19: Box.only_assigned is unread outside itself",
         "mod.py:21: Box.only_named is unread outside itself",
+    ]
+
+
+def _field_reads(path: Path) -> set:
+    """Every attribute name the file reads: loaded attributes, and the
+    string constants of `getattr(obj, "name")` and `obj.check("name", ...)`."""
+    out = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "getattr":
+                by_string = node.args[1:2]
+            elif isinstance(func, ast.Attribute) and func.attr == "check":
+                by_string = node.args[:1]
+            else:
+                continue
+            out.update(
+                arg.value
+                for arg in by_string
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            )
+    return out
+
+
+def unread_fields(modules, readers) -> list:
+    """Each annotated class-body name (a dataclass field) of a module-level
+    public class of `modules` that no file of `readers` reads as an
+    attribute.  Reads in the class's own methods count: `to_json_dict` is
+    how an artifact reads a field."""
+    reads = set().union(*map(_field_reads, readers))
+    return [
+        f"{path.name}:{member.lineno}: {cls.name}.{member.target.id} is unread"
+        for path in modules
+        for cls in _parse(path).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+        if not member.target.id.startswith("_") and member.target.id not in reads
+    ]
+
+
+def test_checker_sees_unread_fields(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    read_elsewhere: int\n"
+        "    read_by_own_method: int\n"
+        "    read_by_getattr: int\n"
+        "    read_by_check: int\n"
+        "    only_assigned: int\n"
+        "    only_named: int\n"
+        "    unread: int = 0\n"
+        "    _private: int = 0\n"
+        "    def to_json_dict(self):\n"
+        "        return {'read_by_own_method': self.read_by_own_method}\n"
+        "@dataclass\n"
+        "class _Hidden:\n"
+        "    unread: int\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text(
+        "import mod\n"
+        "rec = mod.Record(1, 2, 3, 4, 5, 6)\n"
+        "print(rec.read_elsewhere, getattr(rec, 'read_by_getattr'))\n"
+        "caps.check('read_by_check', 7)\n"
+        "rec.only_assigned = None\n"
+        "only_named = 'only_named'\n"
+    )
+    assert unread_fields([mod], [mod, demo]) == [
+        "mod.py:8: Record.only_assigned is unread",
+        "mod.py:9: Record.only_named is unread",
+        "mod.py:10: Record.unread is unread",
+    ]
+    assert unread_fields([mod], [mod]) == [
+        "mod.py:4: Record.read_elsewhere is unread",
+        "mod.py:6: Record.read_by_getattr is unread",
+        "mod.py:7: Record.read_by_check is unread",
+        "mod.py:8: Record.only_assigned is unread",
+        "mod.py:9: Record.only_named is unread",
+        "mod.py:10: Record.unread is unread",
     ]
 
 
