@@ -12,7 +12,11 @@ stays eager because the benchmark's `import.harddist_s` layer reads it
 from `python -X importtime -c "import mmphf_lab"`.  `coloring`, `lp`,
 `mmphf` and `windowtree` load on first attribute access (PEP 562) or
 import, so a fresh process compiles only what its subcommand runs:
-`mmphf-lab --version` and `graph` load none of the four.
+`mmphf-lab --version` and `graph` load none of the four.  No module
+imports `dataclasses`, so no fresh process loads it or `inspect`: the
+records are `typing.NamedTuple`s, or `collections.namedtuple`
+subclasses where `__new__` checks the fields or an instance holds a
+cache, and `graphs.Graph` is a plain class with `__slots__`.
 """
 
 __version__ = "0.1.0"

@@ -18,7 +18,10 @@ import loads anyway (see `mmphf_lab`); each body imports the module it
 runs (`coloring`, `mmphf`, `windowtree`), and `json` and `csv` load
 where an artifact is rendered or a `--dist-file` read.  Building the
 parser needs only the scheme names, from `schemes`, so
-`mmphf-lab --version` and `--help` load none of those modules.
+`mmphf-lab --version` and `--help` load none of those modules.  `main`
+builds every subparser but adds flags only to the one argv names, and to
+none for `--help`, `--version` or an unknown command, so help and error
+texts are the same as with every command's flags.
 """
 
 import argparse
@@ -40,8 +43,12 @@ KV = ("key", "value")
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # no top-level option takes a value, so the first word naming a command
+    # is the one argparse runs; "" names none, as for --help and --version
+    command = next((a for a in argv if a in COMMANDS), "")
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     _, columns, _, body = COMMANDS[args.command]
@@ -60,8 +67,14 @@ def main(argv=None) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process; parsing leaves it unchanged."""
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of `command` only, or
+    of every one when command is None.
+
+    The top-level help and errors read only each subcommand's help line, and
+    argparse parses the flags of the one subcommand argv names.  Each parser
+    is built once per process, and parsing leaves it unchanged.
+    """
     p = argparse.ArgumentParser(
         prog=PROG,
         description="exact experiments on conflict graphs, fractional coloring "
@@ -73,6 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(
             name, help=help_text, description=f"{help_text}  CSV columns: {', '.join(columns)}."
         )
+        if command not in (None, name):
+            continue
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
         sp.add_argument("--seed", type=_int_in(0, 1 << 64), default=0, help="64-bit master seed")

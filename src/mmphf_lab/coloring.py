@@ -13,7 +13,9 @@ coloring whose colors lie in range(chi) (`verify_coloring`, which the
 itself, on the subgraph its positive-weight vertices induce
 (`max_mass`), never against the column list the LP was given, so a set
 missing from that list shows up as an infeasible dual.  The LP solver
-checks nothing of its own result.
+checks nothing of its own result.  Both lists of maximal sets, the LP's
+columns and those on the dual's support, stop at `graphs.MAX_COLUMNS`
+sets.
 
 The integral chromatic number comes from iterative deepening on the color
 count; each k-colorability test peels vertices of degree < k (always
@@ -38,10 +40,9 @@ or-product graph by the same `_verify_report`, with no list of the
 product's maximal sets.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import Graph, bit_indices, bron_kerbosch_maximal_sets, or_product
@@ -55,8 +56,7 @@ ONE = Fraction(1)
 REFUTE_MIN_NODES = 64
 
 
-@dataclass
-class FractionalColoring:
+class FractionalColoring(NamedTuple):
     """Nonnegative weights on independent sets covering every vertex >= 1."""
 
     sets: list  # list of int vertex bitmasks
@@ -74,8 +74,7 @@ class FractionalColoring:
         }
 
 
-@dataclass
-class DualWitness:
+class DualWitness(NamedTuple):
     """Nonnegative vertex weights with mass <= 1 on every independent set."""
 
     weights: dict  # vertex index -> Fraction
@@ -91,8 +90,7 @@ class DualWitness:
         }
 
 
-@dataclass
-class ChiReport:
+class ChiReport(NamedTuple):
     """Exact coloring summary: chi_f with matching certificates, plus chi."""
 
     chi_f: Fraction
@@ -332,9 +330,8 @@ def fractional_chromatic_number(
         sets=[mask for mask, _ in sol.primal], weights=[w for _, w in sol.primal]
     )
     dual = DualWitness(weights={v: y for v, y in enumerate(sol.dual) if y != ZERO})
-    report = ChiReport(chi_f=sol.value, primal=primal, dual=dual)
-    if include_chi:
-        report.chi, report.coloring = chromatic_number(graph, caps)
+    chi, coloring = chromatic_number(graph, caps) if include_chi else (None, None)
+    report = ChiReport(chi_f=sol.value, primal=primal, dual=dual, chi=chi, coloring=coloring)
     _verify_report(graph, report)
     return report
 

@@ -30,8 +30,9 @@ functions f mapping each universe element to a position in [m]: the set
 I(f) collects every vertex whose elements all sit at their labelled
 positions, and `independent_set_of` builds it.  The maximal sets of any
 built graph come from one enumerator, Bron-Kerbosch on the adjacency
-bitmasks (`bron_kerbosch_maximal_sets`); the tests keep the label route
-to them as their reference.  Label functions have their one home here:
+bitmasks (`bron_kerbosch_maximal_sets`), capped at `MAX_COLUMNS` sets;
+the tests keep the label route to them as their reference.  Label
+functions have their one home here:
 `label_getter`, the predicate `consistent` and the capped enumerator
 `iter_label_functions` also serve the hard distribution and the window
 trees.
@@ -40,48 +41,49 @@ All values are immutable after construction and all operations are pure.
 """
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from itertools import combinations, compress, islice, product as iter_product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .caps import DEFAULT_CAPS, EnumerationCaps
+from .caps import DEFAULT_CAPS, EnumerationCaps, check_cap
 from .errors import InvalidVertexError
 
 LabelFn = Union[Mapping[int, int], Callable[[int], int]]
 
 
-@dataclass(frozen=True)
-class ConflictSpec:
+class ConflictSpec(namedtuple("ConflictSpec", "m M offset")):
     """Size-m subsets of the universe [offset+1, offset+M], conflict edges."""
 
+    __slots__ = ()
     m: int
     M: int
-    offset: int = 0
+    offset: int
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, M: int, offset: int = 0):
+        if m < 1:
             raise ValueError("tuple size m must be >= 1")
-        if self.M < self.m:
+        if M < m:
             raise ValueError("universe width M must be >= m")
+        return super().__new__(cls, m, M, offset)
 
     @property
     def universe(self) -> range:
         return range(self.offset + 1, self.offset + self.M + 1)
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(namedtuple("ShiftSpec", "n u")):
     """n-subsets of [u] with successor-shift edges."""
 
+    __slots__ = ()
     n: int
     u: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, u: int):
+        if n < 1:
             raise ValueError("tuple size n must be >= 1")
-        if self.u < self.n:
+        if u < n:
             raise ValueError("universe size u must be >= n")
+        return super().__new__(cls, n, u)
 
     @property
     def universe(self) -> range:
@@ -149,7 +151,6 @@ def product_index(i1: int, i2: int, n2: int) -> int:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass
 class Graph:
     """An explicitly enumerated graph: canonical vertex list plus adjacency.
 
@@ -157,8 +158,18 @@ class Graph:
     are the whole graph: no edge is stored, and `edges()` reads them off.
     """
 
+    __slots__ = ("vertices", "adj_bits")
     vertices: list
-    adj_bits: list = field(repr=False)
+    adj_bits: list
+
+    def __init__(self, vertices: list, adj_bits: list):
+        self.vertices = vertices
+        self.adj_bits = adj_bits
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.adj_bits == other.adj_bits
 
     @property
     def n(self) -> int:
@@ -310,12 +321,19 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
+# Maximal sets one enumeration may list: shift(2,16) has 16,384, and
+# shift(2,30)'s 2^28 are refused after a few seconds instead of hours.
+MAX_COLUMNS = 1 << 16
+
+
 def bron_kerbosch_maximal_sets(adj_bits: list) -> list[int]:
     """Maximal independent sets of a graph given by adjacency bitmasks.
 
     Runs pivoted Bron-Kerbosch on the complement graph (maximal cliques of
     the complement are exactly the maximal independent sets) and returns
-    vertex bitmasks in a deterministic order.
+    vertex bitmasks in a deterministic order.  Their number is not known
+    before the search, so they are counted as they are found, and one set
+    past `MAX_COLUMNS` raises EnumerationCapExceeded naming `max_columns`.
     """
     n = len(adj_bits)
     if n == 0:
@@ -323,9 +341,12 @@ def bron_kerbosch_maximal_sets(adj_bits: list) -> list[int]:
     full = (1 << n) - 1
     comp = [(~adj_bits[v]) & full & ~(1 << v) for v in range(n)]
     out = []
+    limit = MAX_COLUMNS
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
+            if len(out) == limit:
+                check_cap("max_columns", limit + 1, limit)
             out.append(r)
             return
         # pivot on the vertex covering most of p

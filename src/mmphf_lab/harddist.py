@@ -21,9 +21,10 @@ functions over huge universes are supplied as element-wise callables and
 never materialized.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, product
+from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, consistent, iter_label_functions, label_getter
@@ -32,30 +33,31 @@ from .serialize import exact_decimals, int_str
 from .tower import Pow2
 
 
-@dataclass(frozen=True)
-class SamplerParams:
+class SamplerParams(namedtuple("SamplerParams", "m k s0")):
     """Index count m, step granularity k >= 2, initial exponent s0.
 
     s0 >= k^(m+1) guarantees the final exponent S_m stays nonnegative.
     """
 
+    __slots__ = ()
     m: int
     k: int
     s0: int
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, k: int, s0: int):
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.k < 2:
+        if k < 2:
             raise ValueError("k must be >= 2 so Z draws from a nonempty range")
         # k^(m+1) >= 2^floor_bits, so a shorter s0 is below it, and the power
         # is built only when it is at most about s0^2
-        floor_bits = (self.m + 1) * (self.k.bit_length() - 1)
-        if self.s0.bit_length() <= floor_bits or self.s0 < self.k ** (self.m + 1):
+        floor_bits = (m + 1) * (k.bit_length() - 1)
+        if s0.bit_length() <= floor_bits or s0 < k ** (m + 1):
             # printed whole up to max_exponent_bits bits, else as the power
-            wide = (self.m + 1) * self.k.bit_length() > DEFAULT_CAPS.max_exponent_bits
-            bound = f"{self.k}^{self.m + 1}" if wide else int_str(self.k ** (self.m + 1))
+            wide = (m + 1) * k.bit_length() > DEFAULT_CAPS.max_exponent_bits
+            bound = f"{k}^{m + 1}" if wide else int_str(k ** (m + 1))
             raise ValueError(f"s0 must be >= k^(m+1) = {bound} to keep S_m >= 0")
+        return super().__new__(cls, m, k, s0)
 
     @classmethod
     def canonical(cls, m: int) -> "SamplerParams":
@@ -77,8 +79,7 @@ class SamplerParams:
         return self.k ** (self.m - i + 1)
 
 
-@dataclass(frozen=True)
-class WindowGeometry:
+class WindowGeometry(NamedTuple):
     """Exponent ladder of the window sizes one iteration can produce."""
 
     s_prev: int
@@ -115,8 +116,7 @@ def window_geometry(params: SamplerParams, i: int, s_prev: int) -> WindowGeometr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleTrace:
+class SampleTrace(NamedTuple):
     """Full record of one run: all draws, positions and exponents."""
 
     params: SamplerParams
@@ -230,33 +230,37 @@ def verify_trace(trace: SampleTrace) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExplicitTupleDistribution:
+class ExplicitTupleDistribution(
+    namedtuple("ExplicitTupleDistribution", "m universe_size outcomes")
+):
     """A fully enumerated distribution on increasing m-tuples.
 
     Probabilities are exact rationals summing to 1; the universe is
-    [1, universe_size] and covers every tuple in the support.
+    [1, universe_size] and covers every tuple in the support.  Each tuple
+    is listed once, in any order.
     """
 
+    __slots__ = ()
     m: int
     universe_size: int
-    outcomes: tuple  # tuple of (m-tuple, Fraction), sorted by tuple
+    outcomes: tuple  # tuple of (m-tuple, Fraction)
 
-    def __post_init__(self):
-        total = sum((p for _, p in self.outcomes), Fraction(0))
+    def __new__(cls, m: int, universe_size: int, outcomes: tuple):
+        total = sum((p for _, p in outcomes), Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        prev = None
-        for t, p in self.outcomes:
+        seen = set()
+        for t, p in outcomes:
             if p < 0:
                 raise ValueError("negative probability")
-            if t == prev:
+            if t in seen:
                 raise ValueError(f"tuple {t} is listed twice")
-            prev = t
-            if len(t) != self.m or any(b <= a for a, b in zip(t, t[1:])):
-                raise ValueError(f"tuple {t} is not a strictly increasing {self.m}-tuple")
-            if t[0] < 1 or t[-1] > self.universe_size:
-                raise ValueError(f"tuple {t} leaves the universe [1, {self.universe_size}]")
+            seen.add(t)
+            if len(t) != m or any(b <= a for a, b in zip(t, t[1:])):
+                raise ValueError(f"tuple {t} is not a strictly increasing {m}-tuple")
+            if t[0] < 1 or t[-1] > universe_size:
+                raise ValueError(f"tuple {t} leaves the universe [1, {universe_size}]")
+        return super().__new__(cls, m, universe_size, outcomes)
 
     def mass(self) -> dict:
         return dict(self.outcomes)
@@ -336,8 +340,7 @@ def adversary_bound_exact(
 CONFIDENCE = 0.99  # of every Monte-Carlo interval
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
+class MonteCarloReport(NamedTuple):
     """Success fraction of `trials` sampled traces, exact in `estimate`, and
     its Clopper-Pearson interval at confidence `CONFIDENCE`."""
 

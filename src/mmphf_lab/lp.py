@@ -33,14 +33,13 @@ verified once, exactly, by `coloring.fractional_chromatic_number`, which
 is the one verifier of every chi_f the lab reports.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import bit_indices
 
 
-@dataclass
-class CoveringSolution:
+class CoveringSolution(NamedTuple):
     value: Fraction
     primal: list  # list of (row bitmask, positive Fraction weight)
     dual: list  # row index -> Fraction price, >= 0, feasible for every column

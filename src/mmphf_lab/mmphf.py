@@ -29,11 +29,11 @@ exact tower arithmetic.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import CorruptIndexError, SchemeViolationError
@@ -50,21 +50,22 @@ _HEADER_BITS_SEED = 64
 _HEADER_WORD_MAX = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class KeySet:
+class KeySet(namedtuple("KeySet", "elements u")):
+    __slots__ = ()
     elements: tuple
     u: int
 
-    def __post_init__(self):
-        if not self.elements:
+    def __new__(cls, elements: tuple, u: int):
+        if not elements:
             raise ValueError("key set must be nonempty")
         prev = 0
-        for e in self.elements:
+        for e in elements:
             if e <= prev:
                 raise ValueError("elements must be strictly increasing and >= 1")
             prev = e
-        if prev > self.u:
-            raise ValueError(f"element {prev} exceeds universe size {self.u}")
+        if prev > u:
+            raise ValueError(f"element {prev} exceeds universe size {u}")
+        return super().__new__(cls, elements, u)
 
     @property
     def n(self) -> int:
@@ -79,16 +80,17 @@ def keyset_from_text(text: str) -> KeySet:
     return KeySet(elements=tuple(int(ln) for ln in lines[1:]), u=u)
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(namedtuple("BitString", "value length")):
     """An immutable bit string: integer value plus explicit length."""
 
+    __slots__ = ()
     value: int
     length: int
 
-    def __post_init__(self):
-        if self.length < 0 or self.value < 0 or self.value >> self.length:
+    def __new__(cls, value: int, length: int):
+        if length < 0 or value < 0 or value >> length:
             raise ValueError("bit-string value does not fit its length")
+        return super().__new__(cls, value, length)
 
     def slice_int(self, start: int, width: int) -> int:
         """Bits [start, start+width) with bit 0 the most significant."""
@@ -98,8 +100,8 @@ class BitString:
         return (self.value >> shift) & ((1 << width) - 1)
 
 
-@dataclass(frozen=True)
-class MmphfIndex:
+class MmphfIndex(namedtuple("MmphfIndex", "scheme n u seed payload")):
+    # no __slots__: the instance dict holds the `members` cache
     scheme: str
     n: int
     u: int
@@ -417,8 +419,7 @@ def extract_coloring(scheme: str, graph: Graph, seed: int = 0) -> dict:
     return colors
 
 
-@dataclass(frozen=True)
-class SchemeStats:
+class SchemeStats(NamedTuple):
     scheme: str
     max_bits: int
     mean_bits: Fraction
@@ -433,8 +434,7 @@ class SchemeStats:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Exact chromatic data next to measured index sizes."""
 
     chi: int
@@ -498,8 +498,7 @@ def bound_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoldParams:
+class FoldParams(NamedTuple):
     """Derived block parameters for splitting n keys over universe u.
 
     m is the largest integer with 2^(2^(m^6)) <= u, k = floor(n / m), and

@@ -15,16 +15,15 @@ e + bit_length(c - 1) with T, and against an int it builds c * 2^e
 only once the bit lengths show it is no longer than x.
 """
 
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
+from typing import NamedTuple, Union
 
 from .serialize import int_str
 
 _MATERIALIZE_BITS = 64
 
 
-@dataclass(frozen=True)
-class Pow2:
+class Pow2(NamedTuple):
     exponent: Union[int, "Pow2"]
 
     def __str__(self) -> str:
@@ -64,16 +63,17 @@ def _cmp_pow2_int(p: Pow2, x: int) -> int:
     return tower_cmp(p.exponent, bits - 1) or (0 if x == 1 << (bits - 1) else -1)
 
 
-@dataclass(frozen=True)
-class ScaledPow2:
+class ScaledPow2(namedtuple("ScaledPow2", "mantissa exponent")):
     """mantissa * 2^exponent with plain-int parts; mantissa >= 1."""
 
+    __slots__ = ()
     mantissa: int
     exponent: int
 
-    def __post_init__(self):
-        if self.mantissa < 1 or self.exponent < 0:
+    def __new__(cls, mantissa: int, exponent: int):
+        if mantissa < 1 or exponent < 0:
             raise ValueError("need mantissa >= 1 and exponent >= 0")
+        return super().__new__(cls, mantissa, exponent)
 
     def le(self, other: TowerInt) -> bool:
         """mantissa * 2^exponent <= other, never building a power larger than other."""

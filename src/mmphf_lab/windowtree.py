@@ -23,9 +23,9 @@ cap, while the arithmetic of astronomically wide trees lives in
 `harddist.window_geometry`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, label_getter
@@ -39,30 +39,27 @@ DIRECT = 1
 INDIRECT = 2
 
 
-@dataclass(frozen=True)
-class WindowTreeSpec:
+class WindowTreeSpec(namedtuple("WindowTreeSpec", "arity depth start length")):
+    __slots__ = ()
     arity: int
     depth: int
     start: int
     length: int
 
-    def __post_init__(self):
-        if self.arity < 2:
+    def __new__(cls, arity: int, depth: int, start: int, length: int):
+        if arity < 2:
             raise ValueError("arity must be >= 2")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be >= 0")
-        if self.length < 1:
+        if length < 1:
             raise ValueError("root window must be nonempty")
         # arity^depth >= 2^floor_bits, so a shorter root cannot be its multiple
         # and the power is built only when it is at most about length^2
-        if (
-            self.length.bit_length() <= floor_bits(self.arity, self.depth)
-            or self.length % self.arity**self.depth != 0
-        ):
+        if length.bit_length() <= floor_bits(arity, depth) or length % arity**depth != 0:
             raise ValueError(
-                f"root length {self.length} is not arity^depth = "
-                f"{self.arity}^{self.depth} times an integer"
+                f"root length {length} is not arity^depth = {arity}^{depth} times an integer"
             )
+        return super().__new__(cls, arity, depth, start, length)
 
     @property
     def node_count(self) -> int:
@@ -145,8 +142,7 @@ def density(window: tuple, f: LabelFn, index: int) -> Fraction:
     return Fraction(hits, length)
 
 
-@dataclass
-class PruneResult:
+class PruneResult(NamedTuple):
     """Per-node marks and per-level direct-pruning fractions."""
 
     index: int
@@ -231,8 +227,7 @@ def prune(tree: WindowTree, f: LabelFn, index: int, tau) -> PruneResult:
     return PruneResult(index=index, tau=tau, marks=marks, p=p)
 
 
-@dataclass(frozen=True)
-class SamplingPath:
+class SamplingPath(NamedTuple):
     """A root-to-leaf walk plus the point drawn from the leaf window."""
 
     nodes: tuple  # node indices per level, nodes[l] at level l
@@ -289,8 +284,7 @@ def case1_inequality_check(result: PruneResult, root_density: Fraction, delta) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinalWindowReport:
+class FinalWindowReport(NamedTuple):
     """Monte-Carlo counts of final-window densities conditioned on clean prefixes.
 
     Of `trials` traces, `conditioned` counts those where no pruned node

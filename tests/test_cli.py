@@ -723,7 +723,8 @@ class TestUsage:
         graph = ["--graph", "conflict", "--m", "2", "--M", "5"]
         calls = [["chif", *graph, "--skip-chi"], ["chif", *graph]]
         results = [run_cli(capsys, *argv) for argv in calls]
-        assert cli._build_parser() is cli._build_parser()
+        # main builds the parser of the command it is given, once per process
+        assert cli._build_parser("chif") is cli._build_parser("chif")
         skipped, full = (json.loads(out) for _, out, _ in results)
         assert "chi" not in skipped and skipped["meta"]["config"]["skip_chi"] is True
         assert full["chi"] == 3 and full["meta"]["config"]["skip_chi"] is False
@@ -741,6 +742,19 @@ class TestUsage:
         capsys.readouterr()
         assert code == 2
 
+    def test_argv_naming_no_command_parses_as_with_every_flag(self, capsys):
+        every = cli._build_parser()
+        chi = ["chi", *SMALL_CALLS["chi"]]
+        for argv in (["--help"], ["-h", "chi"], ["--version"], ["--vers"], [], ["frobnicate"],
+                     ["--bogus", *chi], ["frobnicate", *chi]):
+            assert run_cli(capsys, *argv) == parser_exit(every, argv, capsys), argv
+        assert all(name in run_cli(capsys, "--help")[1] for name in cli.COMMANDS)
+        choices = ", ".join(map(repr, cli.COMMANDS))
+        assert run_cli(capsys, "frobnicate")[2].endswith(
+            "mmphf-lab: error: argument command: invalid choice: 'frobnicate'"
+            f" (choose from {choices})\n"
+        )
+
     def test_console_script_runs(self):
         proc = run_cli_fresh("--version")
         assert proc.returncode == 0
@@ -755,3 +769,33 @@ class TestUsage:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def parser_exit(parser, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as e:
+        parser.parse_args(argv)
+    return (e.value.code, *capsys.readouterr())
+
+
+class TestOneCommandParser:
+    """The parser with one command's flags parses, prints help and fails as
+    the parser with every command's flags."""
+
+    def test_every_command_has_a_small_call(self):
+        assert sorted(SMALL_CALLS) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(SMALL_CALLS))
+    def test_same_namespace_help_and_errors(self, capsys, command):
+        one, every = cli._build_parser(command), cli._build_parser()
+        argv = [command, *SMALL_CALLS[command]]
+        assert one.parse_args(argv) == every.parse_args(argv)
+        # an unknown flag is refused by the top-level parser, under its usage
+        for refused in ([command, "--help"], [*argv, "--no-such-flag"], [*argv, "--seed", "-1"],
+                        ["--no-such-flag", *argv]):
+            assert parser_exit(one, refused, capsys) == parser_exit(every, refused, capsys)
+
+    def test_no_flags_keep_the_top_level_texts(self, capsys):
+        none, every = cli._build_parser(""), cli._build_parser()
+        for argv in (["--help"], ["--version"], [], ["frobnicate"]):
+            assert parser_exit(none, argv, capsys) == parser_exit(every, argv, capsys), argv

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmphf_lab import coloring
+from mmphf_lab import coloring, graphs
 from mmphf_lab.caps import EnumerationCaps
 from mmphf_lab.coloring import (
     DualWitness,
@@ -510,6 +510,27 @@ class TestProductCertificates:
 def random_weights(n, rng):
     """Nonnegative Fraction weights on range(n), zero on about 4 in 9."""
     return {v: Fraction(max(0, rng.choice_index(9) - 4), 1 + rng.choice_index(6)) for v in range(n)}
+
+
+class TestColumnCap:
+    """`MAX_COLUMNS` stops both lists of maximal sets as they are produced."""
+
+    def test_lp_columns(self, monkeypatch):
+        # C5 has five maximal independent sets
+        monkeypatch.setattr(graphs, "MAX_COLUMNS", 5)
+        assert len(maximal_sets_bits(cycle(5))) == 5
+        monkeypatch.setattr(graphs, "MAX_COLUMNS", 4)
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            fractional_chromatic_number(cycle(5))
+        assert (exc.value.cap_name, exc.value.required, exc.value.limit) == ("max_columns", 5, 4)
+
+    def test_dual_support(self, monkeypatch):
+        uniform = {v: Fraction(1, 5) for v in range(5)}
+        monkeypatch.setattr(graphs, "MAX_COLUMNS", 5)
+        assert max_mass(cycle(5), uniform) == Fraction(2, 5)
+        monkeypatch.setattr(graphs, "MAX_COLUMNS", 4)
+        with pytest.raises(EnumerationCapExceeded, match="max_columns"):
+            max_mass(cycle(5), uniform)
 
 
 class TestMaxMass:

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,10 @@ from mmphf_lab.graphs import (
     to_dimacs,
     vertex_count,
 )
+from mmphf_lab.harddist import ExplicitTupleDistribution, SamplerParams
+from mmphf_lab.mmphf import BitString, KeySet, MmphfIndex
+from mmphf_lab.tower import ScaledPow2
+from mmphf_lab.windowtree import WindowTreeSpec
 
 from oracles import (
     count_conflict_edges,
@@ -378,6 +383,30 @@ class TestValidation:
                      "max_exponent_bits", "max_adjacency_bits"):
             with pytest.raises(ValueError, match=name):
                 EnumerationCaps(**{name: 0})
+
+    def test_records_are_immutable_values(self):
+        # each validated record: equal fields give equal, equally hashed
+        # records with the same repr, and no field can be assigned afterwards
+        records = [
+            lambda: ConflictSpec(2, 5),
+            lambda: ShiftSpec(2, 9),
+            lambda: EnumerationCaps(max_outcomes=7),
+            lambda: SamplerParams(2, 2, 8),
+            lambda: ExplicitTupleDistribution(2, 3, (((1, 2), Fraction(1)),)),
+            lambda: WindowTreeSpec(2, 1, 1, 4),
+            lambda: ScaledPow2(3, 5),
+            lambda: KeySet((3, 17), 20),
+            lambda: BitString(5, 3),
+            lambda: MmphfIndex("rank-map", 2, 20, None, BitString(5, 3)),
+        ]
+        for make in records:
+            a, b = make(), make()
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b), a
+            assert repr(a).startswith(type(a).__name__ + "(")
+            with pytest.raises(AttributeError):
+                setattr(a, a._fields[0], None)
+        assert ConflictSpec(2, 5) != ConflictSpec(2, 6)
+        assert repr(ConflictSpec(2, 5)) == "ConflictSpec(m=2, M=5, offset=0)"
 
     def test_caps_check(self):
         caps = EnumerationCaps(max_outcomes=7)

@@ -111,6 +111,8 @@ class TestSample:
     def test_deterministic(self):
         assert sample(TOY, 99) == sample(TOY, 99)
         assert sample(TOY, 99) != sample(TOY, 100)
+        # traces compare by value, their parameters included
+        assert sample(SamplerParams(2, 2, 8), 99) == sample(SamplerParams(2, 2, 8), 99)
 
     def test_windows(self):
         tr = sample(TOY, 5)
@@ -477,6 +479,18 @@ class TestAdversary:
             ExplicitTupleDistribution(
                 m=2, universe_size=3, outcomes=(((1, 2), half), ((1, 2), half))
             )
+
+    def test_repeat_apart_refused_in_any_order(self):
+        third = Fraction(1, 3)
+        with pytest.raises(ValueError, match=r"^tuple \(1, 2\) is listed twice$"):
+            ExplicitTupleDistribution(
+                m=2, universe_size=4, outcomes=(((1, 2), third), ((2, 3), third), ((1, 2), third))
+            )
+        # unsorted outcomes are a distribution, as demo 03 lists them
+        dist = ExplicitTupleDistribution(
+            m=2, universe_size=4, outcomes=(((1, 2), third), ((2, 3), third), ((1, 4), third))
+        )
+        assert dist.support_elements() == [1, 2, 3, 4]
 
 
 class TestMonteCarlo:

@@ -1,8 +1,8 @@
 """Layering rules of the package, checked on its source.
 
-* Only `caps.py` constructs `EnumerationCapExceeded` (in
-  `EnumerationCaps.check`), so a reported cap name is always a real
-  `EnumerationCaps` field.
+* Only `caps.py` constructs `EnumerationCapExceeded` (in `check_cap`),
+  so a reported cap name is always an `EnumerationCaps` field or
+  `graphs.MAX_COLUMNS`, and every refusal reads the same.
 * Only `graphs.py` constructs `Graph`, so every graph comes from a
   builder there that checks `max_vertices`.
 * No module imports a single-underscore name from a sibling module: what
@@ -13,6 +13,10 @@
 * A fresh process loads only the package modules its subcommand runs:
   `import mmphf_lab` loads `harddist` but not `coloring`, `lp`, `mmphf`
   or `windowtree`, which load on first use and resolve as attributes.
+  Nor does it load `dataclasses`, or `inspect`, which `dataclasses`
+  imports along with `ast`, `dis` and `tokenize`: the package's records
+  are `typing.NamedTuple`s, `collections.namedtuple` subclasses and
+  plain classes with `__slots__`.
 * Every module-level public function, class and assigned name of the
   package is read by name (a loaded `Name` or attribute; an import alone
   is not a read) somewhere in the package, the demos or the acceptance
@@ -25,11 +29,11 @@
 * Every public method or property of a public package class is read as a
   loaded attribute of that name in the same files, outside its own body.
   Dunders are exempt.
-* Every public dataclass field (an annotated class-body name) of a public
-  package class is read as a loaded attribute of that name in the same
-  files, its own class's methods included, or by string as
-  `getattr(obj, "name")` or `obj.check("name", ...)` (how
-  `EnumerationCaps.check` reads a cap).
+* Every public record field (an annotated class-body name, which both
+  record idioms declare) of a public package class is read as a loaded
+  attribute of that name in the same files, its own class's methods
+  included, or by string as `getattr(obj, "name")` or
+  `obj.check("name", ...)` (how `EnumerationCaps.check` reads a cap).
 
 These read rules still match a read by name alone, not by what is read:
 a name, member or field that shares its name with a read name or
@@ -521,7 +525,7 @@ def _field_reads(path: Path) -> set:
 
 
 def unread_fields(modules, readers) -> list:
-    """Each annotated class-body name (a dataclass field) of a module-level
+    """Each annotated class-body name (a record field) of a module-level
     public class of `modules` that no file of `readers` reads as an
     attribute.  Reads in the class's own methods count: `to_json_dict` is
     how an artifact reads a field."""
@@ -538,11 +542,14 @@ def unread_fields(modules, readers) -> list:
 
 
 def test_checker_sees_unread_fields(tmp_path):
+    # the package's three record idioms: a NamedTuple; a namedtuple subclass
+    # with bare annotations and a validating __new__; and a plain class with
+    # __slots__, bare annotations and its own __init__
     mod = tmp_path / "mod.py"
     mod.write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
-        "class Record:\n"
+        "from collections import namedtuple\n"
+        "from typing import NamedTuple\n"
+        "class Record(NamedTuple):\n"
         "    read_elsewhere: int\n"
         "    read_by_own_method: int\n"
         "    read_by_getattr: int\n"
@@ -550,11 +557,26 @@ def test_checker_sees_unread_fields(tmp_path):
         "    only_assigned: int\n"
         "    only_named: int\n"
         "    unread: int = 0\n"
-        "    _private: int = 0\n"
         "    def to_json_dict(self):\n"
         "        return {'read_by_own_method': self.read_by_own_method}\n"
-        "@dataclass\n"
-        "class _Hidden:\n"
+        "class Checked(namedtuple('Checked', 'read_in_method new_unread')):\n"
+        "    __slots__ = ()\n"
+        "    read_in_method: int\n"
+        "    new_unread: int\n"
+        "    def __new__(cls, read_in_method, new_unread):\n"
+        "        return super().__new__(cls, read_in_method, new_unread)\n"
+        "    def twice(self):\n"
+        "        return 2 * self.read_in_method\n"
+        "class Slotted:\n"
+        "    __slots__ = ('read_in_init', 'slot_unread', '_private')\n"
+        "    read_in_init: int\n"
+        "    slot_unread: int\n"
+        "    _private: int\n"
+        "    def __init__(self, read_in_init, slot_unread):\n"
+        "        self.read_in_init = read_in_init\n"
+        "        self.slot_unread = slot_unread\n"
+        "        self._private = self.read_in_init\n"
+        "class _Hidden(NamedTuple):\n"
         "    unread: int\n"
     )
     demo = tmp_path / "demo.py"
@@ -565,11 +587,14 @@ def test_checker_sees_unread_fields(tmp_path):
         "caps.check('read_by_check', 7)\n"
         "rec.only_assigned = None\n"
         "only_named = 'only_named'\n"
+        "mod.Slotted(1, 2).slot_unread = 3\n"
     )
     assert unread_fields([mod], [mod, demo]) == [
         "mod.py:8: Record.only_assigned is unread",
         "mod.py:9: Record.only_named is unread",
         "mod.py:10: Record.unread is unread",
+        "mod.py:16: Checked.new_unread is unread",
+        "mod.py:24: Slotted.slot_unread is unread",
     ]
     assert unread_fields([mod], [mod]) == [
         "mod.py:4: Record.read_elsewhere is unread",
@@ -578,13 +603,17 @@ def test_checker_sees_unread_fields(tmp_path):
         "mod.py:8: Record.only_assigned is unread",
         "mod.py:9: Record.only_named is unread",
         "mod.py:10: Record.unread is unread",
+        "mod.py:16: Checked.new_unread is unread",
+        "mod.py:24: Slotted.slot_unread is unread",
     ]
 
 
 LAZY = ("coloring", "lp", "mmphf", "windowtree")
+# standard-library modules no fresh process of the package loads
+UNLOADED_STDLIB = ("dataclasses", "inspect")
 LIST_MODULES = (
     "print(*sorted(m.removeprefix('mmphf_lab.') for m in sys.modules"
-    " if m.startswith('mmphf_lab.')))\n"
+    f" if m.startswith('mmphf_lab.') or m in {UNLOADED_STDLIB!r}))\n"
 )
 # runs the CLI on the arguments after -c, then lists the package modules loaded
 RUN_CLI = (
@@ -597,7 +626,8 @@ RUN_CLI = (
 
 
 def loaded_modules(code, *argv) -> set:
-    """The `mmphf_lab` submodules a fresh process running code has loaded."""
+    """The `mmphf_lab` submodules, and those of UNLOADED_STDLIB, that a
+    fresh process running code has loaded."""
     proc = run_python_fresh("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -626,12 +656,13 @@ def test_subcommand_loads_only_what_it_runs(argv, runs, skips):
     loaded = loaded_modules(RUN_CLI, *argv)
     assert set(runs) <= loaded
     assert loaded.isdisjoint(skips), sorted(loaded & set(skips))
+    assert loaded.isdisjoint(UNLOADED_STDLIB), sorted(loaded & set(UNLOADED_STDLIB))
 
 
 def test_package_import_loads_harddist_and_defers_the_rest():
     loaded = loaded_modules("import sys, mmphf_lab\n" + LIST_MODULES)
     assert "harddist" in loaded
-    assert loaded.isdisjoint(LAZY), sorted(loaded & set(LAZY))
+    assert loaded.isdisjoint(LAZY + UNLOADED_STDLIB), sorted(loaded & {*LAZY, *UNLOADED_STDLIB})
 
 
 def test_deferred_modules_resolve_as_attributes():
