@@ -18,10 +18,10 @@ import loads anyway (see `mmphf_lab`); each body imports the module it
 runs (`coloring`, `mmphf`, `windowtree`), and `json` and `csv` load
 where an artifact is rendered or a `--dist-file` read.  Building the
 parser needs only the scheme names, from `schemes`, so
-`mmphf-lab --version` and `--help` load none of those modules.  `main`
-builds every subparser but adds flags only to the one argv names, and to
-none for `--help`, `--version` or an unknown command, so help and error
-texts are the same as with every command's flags.
+`mmphf-lab --version` and `--help` load none of those modules.  A process
+builds one parser and adds a command's flags the first time argv names
+it, none for `--help`, `--version` or an unknown command, so help and
+error texts are the same as with every command's flags.
 """
 
 import argparse
@@ -31,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, graphs, harddist
-from .caps import DEFAULT_CAPS, EnumerationCaps
+from .caps import DEFAULT_CAPS, EnumerationCaps, check_cap
 from .errors import EnumerationCapExceeded, MmphfLabError
 from .rng import BitSampler, derive_seed
 from .schemes import SCHEME_EXPLICIT_SET, SCHEMES
@@ -67,14 +67,18 @@ def main(argv=None) -> int:
 
 
 @functools.cache
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the flags of `command` only, or
-    of every one when command is None.
+def _build_parser(command: str) -> argparse.ArgumentParser:
+    """The process's one parser, with `command`'s flags added on the first call
+    naming it ("" adds none); no parse or help text reads another command's."""
+    parser, subparsers = _parsers()
+    if command:
+        _add_flags(subparsers[command], command)
+    return parser
 
-    The top-level help and errors read only each subcommand's help line, and
-    argparse parses the flags of the one subcommand argv names.  Each parser
-    is built once per process, and parsing leaves it unchanged.
-    """
+
+@functools.cache
+def _parsers() -> tuple:
+    """A parser of every subcommand, none with its flags, and the subparsers by name."""
     p = argparse.ArgumentParser(
         prog=PROG,
         description="exact experiments on conflict graphs, fractional coloring "
@@ -82,22 +86,20 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, columns, flags, _) in COMMANDS.items():
-        sp = sub.add_parser(
+    for name, (help_text, columns, _, _) in COMMANDS.items():
+        sub.add_parser(
             name, help=help_text, description=f"{help_text}  CSV columns: {', '.join(columns)}."
         )
-        if command not in (None, name):
-            continue
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sp.add_argument("--seed", type=_int_in(0, 1 << 64), default=0, help="64-bit master seed")
-        sp.add_argument("--max-vertices", type=int, default=DEFAULT_CAPS.max_vertices)
-        sp.add_argument(
-            "--max-label-functions", type=int, default=DEFAULT_CAPS.max_label_functions
-        )
-        sp.add_argument("--max-outcomes", type=int, default=DEFAULT_CAPS.max_outcomes)
-        flags(sp)
-    return p
+    return p, sub.choices
+
+
+def _add_flags(sp: argparse.ArgumentParser, command: str) -> None:
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
+    sp.add_argument("--seed", type=_int_in(0, 1 << 64), default=0, help="64-bit master seed")
+    for name, default in zip(EnumerationCaps._fields, DEFAULT_CAPS):
+        sp.add_argument("--" + name.replace("_", "-"), type=int, default=default)
+    COMMANDS[command][2](sp)
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -170,11 +172,7 @@ def _kv_rows(d: dict, prefix="") -> list:
 
 
 def _caps(args) -> EnumerationCaps:
-    return EnumerationCaps(
-        max_vertices=args.max_vertices,
-        max_label_functions=args.max_label_functions,
-        max_outcomes=args.max_outcomes,
-    )
+    return EnumerationCaps(*(getattr(args, name) for name in EnumerationCaps._fields))
 
 
 # -- graphs and colorings ----------------------------------------------------
@@ -216,12 +214,18 @@ def _graph_export_flags(sp):
     sp.add_argument("--export", choices=("summary", "dimacs", "json"), default="summary")
 
 
+# Edges a JSON export may list, about 350 bytes each: K_2000's 1,999,000 peaked
+# at 695 MB RSS in a fresh run (Python 3.11, 2-vCPU x86-64); K_7211 has 26·10⁶.
+MAX_JSON_EDGES = 2 * 10**6
+
+
 def _graph(args):
     g = _build_graph(args)
     if args.export == "dimacs":
         return graphs.to_dimacs(g, comment=f"{PROG} {args.graph} graph"), None, True
     payload = {"vertices": g.n, "edges": g.edge_count()}
     if args.export == "json":
+        check_cap("max_json_edges", payload["edges"], MAX_JSON_EDGES)
         payload["vertex_list"] = [list(v) for v in g.vertices]
         payload["edge_list"] = [[i, j] for (i, j) in g.edges()]
     return payload, None, True
@@ -517,7 +521,7 @@ def _parameterize_flags(sp):
 def _parameterize(args):
     from . import mmphf
 
-    fp = mmphf.parameterize(args.n, parse_tower(args.u), _caps(args))
+    fp = mmphf.parameterize(args.n, parse_tower(args.u))
     return fp.to_json_dict(), None, True
 
 

@@ -26,11 +26,11 @@ per node, since such colors are interchangeable.  Residual problems the
 search has refuted are recorded, up to relabelling of the colors in use,
 and skipped when met again; a state is recorded only once its failed
 subtree owns REFUTE_MIN_NODES nodes no other recorded state owns, so at
-most max_search_nodes // REFUTE_MIN_NODES states are kept.  A skipped
+most MAX_SEARCH_NODES // REFUTE_MIN_NODES states are kept.  A skipped
 problem has no coloring, so the first coloring found is unchanged.
 Tie-breaking follows the canonical vertex order, so results are
 deterministic, and the search nodes of one `chromatic_number` call are
-capped by max_search_nodes.
+capped by MAX_SEARCH_NODES.
 
 Dual witnesses double as vertex distributions: a distribution mu
 certifies chi_f >= 1 / max_mass(graph, mu), and the optimal dual rescaled
@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterable, NamedTuple, Optional
 
-from .caps import DEFAULT_CAPS, EnumerationCaps
+from .caps import DEFAULT_CAPS, EnumerationCaps, check_cap
 from .graphs import Graph, bit_indices, bron_kerbosch_maximal_sets, or_product
 from .graphs import product_index, product_set
 from .lp import solve_covering_lp
@@ -54,6 +54,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 # a failed search subtree records its state once it owns this many nodes
 REFUTE_MIN_NODES = 64
+# search nodes of one chromatic_number call; shift(2,17) needs more
+MAX_SEARCH_NODES = 10**6
 
 
 class FractionalColoring(NamedTuple):
@@ -152,7 +154,7 @@ def _first_free_color(graph: Graph, v: int, colors: list) -> int:
     return c
 
 
-def _k_coloring(graph: Graph, k: int, caps: EnumerationCaps, spent: int) -> tuple:
+def _k_coloring(graph: Graph, k: int, spent: int) -> tuple:
     """(k-coloring or None, search nodes spent so far, this call included)."""
     n = graph.n
     if k <= 0:
@@ -170,7 +172,7 @@ def _k_coloring(graph: Graph, k: int, caps: EnumerationCaps, spent: int) -> tupl
                 changed = True
     colors = [-1] * n
     if alive:
-        found, spent = _color_core(graph, alive, k, colors, caps, spent, {})
+        found, spent = _color_core(graph, alive, k, colors, spent, {})
         if not found:
             return None, spent
     for v in reversed(peel_order):
@@ -180,8 +182,7 @@ def _k_coloring(graph: Graph, k: int, caps: EnumerationCaps, spent: int) -> tupl
 
 
 def _color_core(
-    graph: Graph, core: int, k: int, colors: list, caps: EnumerationCaps, spent: int,
-    refuted: dict,
+    graph: Graph, core: int, k: int, colors: list, spent: int, refuted: dict
 ) -> tuple:
     """DSATUR with forward checking on the core bitmask: (found, nodes spent so far).
 
@@ -205,7 +206,7 @@ def _color_core(
     a node whose state is recorded returns False at once and is not
     counted.  A failed node records its state when its subtree spent at
     least REFUTE_MIN_NODES nodes that no state recorded inside it owns;
-    those nodes become its own.  So at most max_search_nodes //
+    those nodes become its own.  So at most MAX_SEARCH_NODES //
     REFUTE_MIN_NODES states are ever kept, with no count of their own, and
     the node count does not depend on the cap.  A skipped subtree holds no
     coloring, so the first coloring found is still the one the search
@@ -218,7 +219,7 @@ def _color_core(
     everyone = (1 << len(order)) - 1
     has = [everyone] * k
     bucket = [everyone] + [0] * (k - 1)
-    limit = caps.max_search_nodes
+    limit = MAX_SEARCH_NODES
     top = k - 1
     charged = 0  # nodes owned by the states in refuted
 
@@ -235,7 +236,7 @@ def _color_core(
         entry, charged_at_entry, state = spent, charged, uncolored
         spent += 1
         if spent > limit:
-            caps.check("max_search_nodes", spent)
+            check_cap("max_search_nodes", spent, limit)
         s = top
         while not bucket[s]:
             s -= 1
@@ -283,7 +284,7 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
     count that admits a proper coloring is returned together with its
     witness.  The count needs no upper bound: at max degree + 1 every
     vertex peels, so that k always succeeds.  The search nodes of all
-    color counts tried together are bounded by caps.max_search_nodes.
+    color counts tried together are bounded by MAX_SEARCH_NODES.
     """
     if graph.n == 0:
         raise ValueError("empty graph has no chromatic number")
@@ -292,7 +293,7 @@ def chromatic_number(graph: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> tupl
         return 1, [0] * graph.n
     spent = 0
     for k in count(max(2, greedy_clique_lower_bound(graph))):
-        witness, spent = _k_coloring(graph, k, caps, spent)
+        witness, spent = _k_coloring(graph, k, spent)
         if witness is not None:
             return k, witness
 

@@ -2,9 +2,9 @@
 
 A built `Graph` is its canonical vertex list and one adjacency bitmask
 per vertex; `Graph.edges()` reads the edges off the masks.  Each kind of
-graph has one builder, and `build_graph` and `or_product` check
-`max_vertices` and then `max_adjacency_bits` (n² for n vertices) before
-they enumerate; `explicit_graph` checks `max_vertices`:
+graph has one builder, and `build_graph` and `or_product` check the
+`max_vertices` cap and then `MAX_ADJACENCY_BITS` (n² for n vertices)
+before they enumerate; `explicit_graph` checks `max_vertices`:
 
 * `build_graph` builds the two tuple families of a `GraphSpec`, which
   share one vertex vocabulary, from their structure, without testing
@@ -194,7 +194,7 @@ class Graph:
 def build_graph(spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     """Enumerate a tuple family into an explicit graph from its structure.
 
-    `max_vertices` and then `max_adjacency_bits` (n² for n vertices) are
+    `max_vertices` and then `MAX_ADJACENCY_BITS` (n² for n vertices) are
     checked before anything is enumerated.  No vertex pair is tested:
     each vertex is filed under the keys its neighbours are found by, and a
     neighbourhood is an OR of those files' bitmasks.
@@ -211,7 +211,7 @@ def build_graph(spec: GraphSpec, caps: EnumerationCaps = DEFAULT_CAPS) -> Graph:
     """
     n = vertex_count(spec)
     caps.check("max_vertices", n)
-    caps.check("max_adjacency_bits", n * n)
+    check_cap("max_adjacency_bits", n * n, MAX_ADJACENCY_BITS)
     vertices = list(iter_vertices(spec))
     if isinstance(spec, ConflictSpec):
         holders_at = defaultdict(int)  # (p, e) -> vertices holding e at position p
@@ -242,7 +242,7 @@ def or_product(g1: Graph, g2: Graph, caps: EnumerationCaps = DEFAULT_CAPS) -> Gr
     """The or-product of two built graphs: (i1, i2) ~ (j1, j2) iff i1 ~ j1 or i2 ~ j2."""
     n1, n2 = g1.n, g2.n
     caps.check("max_vertices", n1 * n2)
-    caps.check("max_adjacency_bits", (n1 * n2) ** 2)
+    check_cap("max_adjacency_bits", (n1 * n2) ** 2, MAX_ADJACENCY_BITS)
     full2 = (1 << n2) - 1
     # in block j1 the neighbours of (i1, i2) are the whole block when i1 ~ j1
     # and the neighbourhood of i2 otherwise; the blocks are disjoint, so sum is or
@@ -320,6 +320,10 @@ def bit_indices(mask: int) -> list[int]:
         mask ^= low
     return out
 
+
+# Bits n² of the adjacency masks of n vertices: n ≤ 7,211 admits shift(2,120)
+# and refuses shift(2,1000); K_7211 peaked at 25 MB RSS in a fresh `graph` run.
+MAX_ADJACENCY_BITS = 52 * 10**6
 
 # Maximal sets one enumeration may list: shift(2,16) has 16,384, and
 # shift(2,30)'s 2^28 are refused after a few seconds instead of hours.

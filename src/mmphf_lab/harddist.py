@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import NamedTuple
 
+from . import caps
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .graphs import LabelFn, consistent, iter_label_functions, label_getter
 from .rng import GENERATOR_NAME, BitSampler, derive_seed
@@ -53,8 +54,8 @@ class SamplerParams(namedtuple("SamplerParams", "m k s0")):
         # is built only when it is at most about s0^2
         floor_bits = (m + 1) * (k.bit_length() - 1)
         if s0.bit_length() <= floor_bits or s0 < k ** (m + 1):
-            # printed whole up to max_exponent_bits bits, else as the power
-            wide = (m + 1) * k.bit_length() > DEFAULT_CAPS.max_exponent_bits
+            # printed whole up to MAX_EXPONENT_BITS bits, else as the power
+            wide = (m + 1) * k.bit_length() > caps.MAX_EXPONENT_BITS
             bound = f"{k}^{m + 1}" if wide else int_str(k ** (m + 1))
             raise ValueError(f"s0 must be >= k^(m+1) = {bound} to keep S_m >= 0")
         return super().__new__(cls, m, k, s0)
@@ -64,13 +65,14 @@ class SamplerParams(namedtuple("SamplerParams", "m k s0")):
         """The construction's own parameters k = m^m, s0 = k^(m+1).
 
         s0 is an exponent, so its bound of (m+1) * m * bit_length(m) bits
-        is checked against `max_exponent_bits` before k is built.
+        is checked against `caps.MAX_EXPONENT_BITS` before k is built.
         """
         if m < 2:
             raise ValueError("canonical parameters need m >= 2 (k = m^m >= 2)")
-        DEFAULT_CAPS.check("max_exponent_bits", (m + 1) * m * m.bit_length())
+        caps.check_cap("max_exponent_bits", (m + 1) * m * m.bit_length(), caps.MAX_EXPONENT_BITS)
         k = m**m
-        return cls(m=m, k=k, s0=k ** (m + 1))
+        # s0 is k^(m+1) itself, so the constructor's comparison is skipped
+        return super().__new__(cls, m, k, k ** (m + 1))
 
     def step(self, i: int) -> int:
         """Exponent decrement unit k^(m-i+1) of iteration i."""

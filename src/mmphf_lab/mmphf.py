@@ -35,6 +35,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
+from . import caps
 from .caps import DEFAULT_CAPS, EnumerationCaps
 from .errors import CorruptIndexError, SchemeViolationError
 from .graphs import ConflictSpec, Graph, build_graph
@@ -526,11 +527,11 @@ class FoldParams(NamedTuple):
         }
 
 
-def parameterize(n: int, u: TowerInt, caps: EnumerationCaps = DEFAULT_CAPS) -> FoldParams:
+def parameterize(n: int, u: TowerInt) -> FoldParams:
     """Exact (m, k, u') for a target (n, u); u may be a tower descriptor.
 
     The exponent m^(m^2+m) of u' is built only if its bound of
-    (m^2+m) * bit_length(m) bits is within `max_exponent_bits`.
+    (m^2+m) * bit_length(m) bits is within `caps.MAX_EXPONENT_BITS`.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -549,7 +550,7 @@ def parameterize(n: int, u: TowerInt, caps: EnumerationCaps = DEFAULT_CAPS) -> F
     k = n // m
     if k < 1:
         raise ValueError(f"m > n = {n}; no blocks fit")
-    caps.check("max_exponent_bits", (m * m + m) * m.bit_length())
+    caps.check_cap("max_exponent_bits", (m * m + m) * m.bit_length(), caps.MAX_EXPONENT_BITS)
     u_prime = ScaledPow2(mantissa=k, exponent=m ** (m * m + m))
     return FoldParams(
         n=n,

@@ -130,6 +130,30 @@ class TestGraph:
         lines = out_file.read_text().strip().splitlines()
         assert any(ln.startswith("p edge 6 4") for ln in lines)
 
+    def test_json_export(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "graph", "--graph", "shift", "--n", "2", "--u", "4", "--export", "json"
+        )
+        data = json.loads(out)
+        assert code == 0 and (data["vertices"], data["edges"]) == (6, 4)
+        assert data["vertex_list"] == [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+        assert data["edge_list"] == [[0, 3], [0, 4], [1, 5], [3, 5]]
+
+    def test_json_export_edge_cap(self, capsys, monkeypatch):
+        # the JSON export alone lists its edges, so the summary and DIMACS
+        # exports are not bounded by MAX_JSON_EDGES
+        argv = ("graph", "--graph", "shift", "--n", "2", "--u", "4", "--export")
+        monkeypatch.setattr(cli, "MAX_JSON_EDGES", 4)
+        admitted = run_cli(capsys, *argv, "json")
+        assert admitted[0] == 0
+        monkeypatch.setattr(cli, "MAX_JSON_EDGES", 3)
+        assert run_cli(capsys, *argv, "json") == (
+            2, "", "mmphf-lab: enumeration cap exceeded: max_json_edges (required 4 > limit 3)\n"
+        )
+        assert run_cli(capsys, *argv, "summary")[0] == run_cli(capsys, *argv, "dimacs")[0] == 0
+        monkeypatch.undo()
+        assert run_cli(capsys, *argv, "json") == admitted
+
     def test_missing_params(self, capsys):
         code, _, err = run_cli(capsys, "graph", "--graph", "conflict")
         assert code == 2 and "conflict graphs need" in err
@@ -654,6 +678,16 @@ class TestAstronomicalInputs:
         assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_adjacency_bits "
                                "(required 249500250000 > limit 52000000)\n")
 
+    def test_conflict_8_15_json_export_names_the_edge_cap(self):
+        # 6,435 vertices pass MAX_ADJACENCY_BITS, but a JSON list of their
+        # 19,088,999 edges would take several GB
+        proc = run_cli_fresh(
+            "graph", "--graph", "conflict", "--m", "8", "--M", "15", "--export", "json", timeout=10
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("mmphf-lab: enumeration cap exceeded: max_json_edges "
+                               "(required 19088999 > limit 2000000)\n")
+
     def test_case1_sweep_tree_names_the_cap_before_building_levels(self):
         proc = run_cli_fresh(
             "case1-sweep", "--instances", "1", "--max-arity", "100000", "--max-depth", "100000",
@@ -723,8 +757,8 @@ class TestUsage:
         graph = ["--graph", "conflict", "--m", "2", "--M", "5"]
         calls = [["chif", *graph, "--skip-chi"], ["chif", *graph]]
         results = [run_cli(capsys, *argv) for argv in calls]
-        # main builds the parser of the command it is given, once per process
-        assert cli._build_parser("chif") is cli._build_parser("chif")
+        # a process builds one parser, and adds a command's flags once
+        assert cli._build_parser("chif") is cli._build_parser("chi") is cli._build_parser("")
         skipped, full = (json.loads(out) for _, out, _ in results)
         assert "chi" not in skipped and skipped["meta"]["config"]["skip_chi"] is True
         assert full["chi"] == 3 and full["meta"]["config"]["skip_chi"] is False
@@ -743,7 +777,7 @@ class TestUsage:
         assert code == 2
 
     def test_argv_naming_no_command_parses_as_with_every_flag(self, capsys):
-        every = cli._build_parser()
+        every = every_flag_parser()
         chi = ["chi", *SMALL_CALLS["chi"]]
         for argv in (["--help"], ["-h", "chi"], ["--version"], ["--vers"], [], ["frobnicate"],
                      ["--bogus", *chi], ["frobnicate", *chi]):
@@ -771,6 +805,14 @@ class TestUsage:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def every_flag_parser():
+    """A parser with every command's flags, built apart from the process's parser."""
+    parser, subparsers = cli._parsers.__wrapped__()
+    for command, sp in subparsers.items():
+        cli._add_flags(sp, command)
+    return parser
+
+
 def parser_exit(parser, argv, capsys):
     """(exit code, stdout, stderr) of a parse that exits."""
     with pytest.raises(SystemExit) as e:
@@ -787,7 +829,7 @@ class TestOneCommandParser:
 
     @pytest.mark.parametrize("command", sorted(SMALL_CALLS))
     def test_same_namespace_help_and_errors(self, capsys, command):
-        one, every = cli._build_parser(command), cli._build_parser()
+        one, every = cli._build_parser(command), every_flag_parser()
         argv = [command, *SMALL_CALLS[command]]
         assert one.parse_args(argv) == every.parse_args(argv)
         # an unknown flag is refused by the top-level parser, under its usage
@@ -796,6 +838,6 @@ class TestOneCommandParser:
             assert parser_exit(one, refused, capsys) == parser_exit(every, refused, capsys)
 
     def test_no_flags_keep_the_top_level_texts(self, capsys):
-        none, every = cli._build_parser(""), cli._build_parser()
+        none, every = cli._build_parser(""), every_flag_parser()
         for argv in (["--help"], ["--version"], [], ["frobnicate"]):
             assert parser_exit(none, argv, capsys) == parser_exit(every, argv, capsys), argv

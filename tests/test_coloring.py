@@ -55,7 +55,7 @@ def cycle(n):
 
 def k_colorable(graph, k):
     """A k-coloring or None, from the search `chromatic_number` runs at each k."""
-    return coloring._k_coloring(graph, k, EnumerationCaps(), 0)[0]
+    return coloring._k_coloring(graph, k, 0)[0]
 
 
 def sets_of(graph):
@@ -158,12 +158,14 @@ class TestBucketDsatur:
         g = build_graph(ShiftSpec(2, 15))
         assert chromatic_number(g) == reference_chromatic_number(g)
 
-    def test_node_cap_on_shift_2_15(self):
+    def test_node_cap_on_shift_2_15(self, monkeypatch):
         g = build_graph(ShiftSpec(2, 15))
-        chi, _ = chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_NODES))
+        monkeypatch.setattr(coloring, "MAX_SEARCH_NODES", SHIFT_2_15_NODES)
+        chi, _ = chromatic_number(g)
         assert chi == 4
+        monkeypatch.setattr(coloring, "MAX_SEARCH_NODES", SHIFT_2_15_NODES - 1)
         with pytest.raises(EnumerationCapExceeded) as exc:
-            chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_NODES - 1))
+            chromatic_number(g)
         assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
             "max_search_nodes", SHIFT_2_15_NODES, SHIFT_2_15_NODES - 1,
         )
@@ -242,17 +244,20 @@ class TestRefutedStates:
     def test_plain_search_spends_more_nodes_on_shift_2_15(self, monkeypatch):
         plain_search(monkeypatch)
         g = build_graph(ShiftSpec(2, 15))
-        assert chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_PLAIN_NODES))[0] == 4
+        monkeypatch.setattr(coloring, "MAX_SEARCH_NODES", SHIFT_2_15_PLAIN_NODES)
+        assert chromatic_number(g)[0] == 4
+        monkeypatch.setattr(coloring, "MAX_SEARCH_NODES", SHIFT_2_15_PLAIN_NODES - 1)
         with pytest.raises(EnumerationCapExceeded) as exc:
-            chromatic_number(g, EnumerationCaps(max_search_nodes=SHIFT_2_15_PLAIN_NODES - 1))
+            chromatic_number(g)
         assert exc.value.required == SHIFT_2_15_PLAIN_NODES > SHIFT_2_15_NODES
 
     @pytest.mark.parametrize("limit", [SHIFT_2_15_NODES, 5000, 640])
     def test_stored_states_bounded(self, monkeypatch, limit):
         kept = keep_refuted(monkeypatch)
+        monkeypatch.setattr(coloring, "MAX_SEARCH_NODES", limit)
         g = build_graph(ShiftSpec(2, 15))
         try:
-            chromatic_number(g, EnumerationCaps(max_search_nodes=limit))
+            chromatic_number(g)
         except EnumerationCapExceeded:
             assert limit < SHIFT_2_15_NODES
         assert 0 < stored(kept) <= limit // coloring.REFUTE_MIN_NODES

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmphf_lab import graphs
 from mmphf_lab.caps import EnumerationCaps
 from mmphf_lab.errors import EnumerationCapExceeded, InvalidVertexError
 from mmphf_lab.graphs import (
@@ -136,15 +137,16 @@ class TestBuildGraph:
         assert g.vertices == list(iter_vertices(spec))
         assert g.adj_bits == reference_adj_bits(spec)
 
-    def test_adjacency_cap_before_enumeration(self):
+    def test_adjacency_cap_before_enumeration(self, monkeypatch):
         # shift(2,1000) has 499,500 vertices, under max_vertices
         with pytest.raises(EnumerationCapExceeded) as exc:
             build_graph(ShiftSpec(2, 1000))
         assert (exc.value.cap_name, exc.value.required) == ("max_adjacency_bits", 499500**2)
-        caps = EnumerationCaps(max_adjacency_bits=35**2)
-        assert build_graph(ConflictSpec(3, 7), caps).n == 35
+        monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", 35**2)
+        assert build_graph(ConflictSpec(3, 7)).n == 35
+        monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", 35**2 - 1)
         with pytest.raises(EnumerationCapExceeded) as exc:
-            build_graph(ConflictSpec(3, 7), EnumerationCaps(max_adjacency_bits=35**2 - 1))
+            build_graph(ConflictSpec(3, 7))
         assert (exc.value.cap_name, exc.value.required) == ("max_adjacency_bits", 35**2)
 
     def test_shift_subgraph_of_conflict(self):
@@ -218,13 +220,15 @@ class TestProduct:
         )
         assert or_product(c5(), c5(), EnumerationCaps(max_vertices=25)).n == 25
 
-    def test_adjacency_cap_at_the_boundary(self):
+    def test_adjacency_cap_at_the_boundary(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", 624)
         with pytest.raises(EnumerationCapExceeded) as exc:
-            or_product(c5(), c5(), EnumerationCaps(max_adjacency_bits=624))
+            or_product(c5(), c5())
         assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
             "max_adjacency_bits", 625, 624
         )
-        assert or_product(c5(), c5(), EnumerationCaps(max_adjacency_bits=625)).n == 25
+        monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", 625)
+        assert or_product(c5(), c5()).n == 25
 
     def test_independent_sets_have_independent_projections(self):
         g1, g2 = c5(), complete(2)
@@ -379,8 +383,7 @@ class TestValidation:
             ConflictSpec(3, 2)
 
     def test_caps_validation(self):
-        for name in ("max_vertices", "max_label_functions", "max_outcomes", "max_search_nodes",
-                     "max_exponent_bits", "max_adjacency_bits"):
+        for name in ("max_vertices", "max_label_functions", "max_outcomes"):
             with pytest.raises(ValueError, match=name):
                 EnumerationCaps(**{name: 0})
 

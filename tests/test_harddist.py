@@ -59,6 +59,14 @@ class TestParams:
         with pytest.raises(ValueError, match=r"^s0 must be >= k\^\(m\+1\) = 25 to keep S_m >= 0$"):
             SamplerParams(1, 5, 24)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_canonical_equals_the_checked_constructor(self, m):
+        # canonical builds k^(m+1) once and skips the constructor's check
+        k = m**m
+        assert SamplerParams.canonical(m) == SamplerParams(m, k, k ** (m + 1))
+        with pytest.raises(ValueError, match=r"^s0 must be >= k\^\(m\+1\) = "):
+            SamplerParams(m, k, k ** (m + 1) - 1)
+
     def test_canonical_s0_bits_bound_holds(self):
         for m in (2, 3, 4, 7, 8, 100, 127, 128):
             assert ((m**m) ** (m + 1)).bit_length() <= (m + 1) * m * m.bit_length()

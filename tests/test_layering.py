@@ -1,8 +1,8 @@
 """Layering rules of the package, checked on its source.
 
 * Only `caps.py` constructs `EnumerationCapExceeded` (in `check_cap`),
-  so a reported cap name is always an `EnumerationCaps` field or
-  `graphs.MAX_COLUMNS`, and every refusal reads the same.
+  so a reported cap name is always an `EnumerationCaps` field or one of
+  the constant limits that `caps` lists, and every refusal reads the same.
 * Only `graphs.py` constructs `Graph`, so every graph comes from a
   builder there that checks `max_vertices`.
 * No module imports a single-underscore name from a sibling module: what

@@ -8,10 +8,10 @@ from itertools import combinations, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmphf_lab import mmphf
-from mmphf_lab.caps import EnumerationCaps
+from mmphf_lab import caps, mmphf
 from mmphf_lab.errors import CorruptIndexError, EnumerationCapExceeded, SchemeViolationError
 from mmphf_lab.graphs import ConflictSpec, build_graph
+from mmphf_lab.harddist import SamplerParams
 from mmphf_lab.mmphf import (
     SCHEME_BROKEN,
     SCHEME_EXPLICIT_SET,
@@ -399,25 +399,42 @@ class TestParameterize:
         data = parameterize(1024, parse_tower("2^2^64")).to_json_dict()
         assert data["m"] == 2 and data["u_prime"] == "512*2^64"
 
-    def test_exponent_bits_cap_boundary(self):
+    def test_exponent_bits_cap_boundary(self, monkeypatch):
         # m = 2: the bound on the bits of 2^(2^2+2) is (4+2) * 2 = 12
         u = parse_tower("2^2^64")
-        assert parameterize(1024, u, EnumerationCaps(max_exponent_bits=12)).m == 2
+        monkeypatch.setattr(caps, "MAX_EXPONENT_BITS", 12)
+        assert parameterize(1024, u).m == 2
+        monkeypatch.setattr(caps, "MAX_EXPONENT_BITS", 11)
         with pytest.raises(EnumerationCapExceeded) as exc:
-            parameterize(1024, u, EnumerationCaps(max_exponent_bits=11))
+            parameterize(1024, u)
         assert (exc.value.cap_name, exc.value.required) == ("max_exponent_bits", 12)
+
+    def test_exponent_bits_limit_has_one_home(self, monkeypatch):
+        # one monkeypatch lowers the limit for both exponents, the canonical
+        # s0 at m = 3 with its bound 4 * 3 * 2 = 24 and u' at m = 2 with 12
+        monkeypatch.setattr(caps, "MAX_EXPONENT_BITS", 11)
+        for build, required in [
+            (lambda: SamplerParams.canonical(3), 24),
+            (lambda: parameterize(1024, parse_tower("2^2^64")), 12),
+        ]:
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                build()
+            assert (exc.value.cap_name, exc.value.required, exc.value.limit) == (
+                "max_exponent_bits", required, 11
+            )
 
     def test_exponent_bits_bound_holds(self):
         for m in (1, 2, 3, 7, 8, 100, 127, 128):
             assert (m ** (m * m + m)).bit_length() <= (m * m + m) * m.bit_length()
 
-    def test_default_cap_admits_m_100(self):
+    def test_default_cap_admits_m_100(self, monkeypatch):
         # the widest exponent the tests and demos build; m = 10^6 runs in a
         # bounded child in test_cli.py::TestAstronomicalInputs
         fp = parameterize(1000, Pow2(Pow2(100**6)))
         assert fp.m == 100 and fp.u_prime.exponent == 100 ** (100 * 100 + 100)
+        monkeypatch.setattr(caps, "MAX_EXPONENT_BITS", 70699)
         with pytest.raises(EnumerationCapExceeded, match="required 70700 > limit 70699"):
-            parameterize(1000, Pow2(Pow2(100**6)), EnumerationCaps(max_exponent_bits=70699))
+            parameterize(1000, Pow2(Pow2(100**6)))
 
     def test_n_past_sys_maxsize(self):
         # the bisection runs on ints, not on a range len() cannot size
